@@ -9,7 +9,8 @@ variable ``SPHGP_BACKEND``:
 * ``numba`` -- require numba, fail loudly if unavailable
 * ``numpy`` -- force the pure-numpy path
 
-``benchmarks/bench_backend.py`` times the two paths against each other.
+The benchmark under ``perfbench/`` times whichever path is active as the
+``backend.gegenbauer_last_s`` layer (``--trace 1``); see ``perfbench/README.md``.
 """
 
 from __future__ import annotations
@@ -45,16 +46,26 @@ def gegenbauer_all_numpy(alpha: float, lmax: int, t: np.ndarray) -> np.ndarray:
 
 
 def gegenbauer_last_numpy(alpha: float, degree: int, t: np.ndarray) -> np.ndarray:
-    """C_degree^{(alpha)}(t) only, via the same recurrence with O(n) memory."""
+    """C_degree^{(alpha)}(t) only, via the same recurrence with O(n) memory.
+
+    Three buffers rotate through the degrees and every step runs in place,
+    in the same order of operations as the table recurrence
+    (``(s1 * t) * cur - s2 * prev``, then ``/ ell``), so the values are
+    bit-identical to ``gegenbauer_all_numpy(...)[degree]``.
+    """
     t = np.ascontiguousarray(t, dtype=np.float64)
     if degree == 0:
         return np.ones_like(t)
     prev = np.ones_like(t)
-    cur = 2.0 * alpha * t
+    cur = np.multiply(2.0 * alpha, t)
+    nxt = np.empty_like(t)
     for ell in range(2, degree + 1):
-        prev, cur = cur, (
-            2.0 * (ell + alpha - 1.0) * t * cur - (ell + 2.0 * alpha - 2.0) * prev
-        ) / ell
+        np.multiply(2.0 * (ell + alpha - 1.0), t, out=nxt)
+        nxt *= cur
+        prev *= ell + 2.0 * alpha - 2.0
+        nxt -= prev
+        nxt /= ell
+        prev, cur, nxt = cur, nxt, prev
     return cur
 
 

@@ -15,6 +15,13 @@ log-space. The ELBO and its exact gradients with respect to every trainable
 quantity (m, the S factor, variance, decay exponent, likelihood noise, and
 the phase directions of truncated frequencies) are computed in closed form;
 the finite-difference suite in the tests is the contract for the gradients.
+
+``S`` itself is never formed. For a batch, with ``A`` the (N, M) rows of
+``Phi``, every covariance term goes through ``G = A L``: the variance term
+is ``rowsum(G^2)``, the data part of the factor gradient is ``A^T (h * G)``,
+and ``A S = G L^T`` is built only when phases train. Both triangular
+products are BLAS ``trmm`` calls, so one gradient evaluation costs
+O(N M^2) whether M is below or above N.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
 from scipy.special import expit, log_ndtr
 
+from . import backend
 from . import harmonics as H
 from . import kernels as K
 from .special_math import num_harmonics
@@ -301,21 +310,27 @@ def _phase_gram(V: np.ndarray, ell: int, dim: int) -> np.ndarray:
     np.fill_diagonal(t, 1.0)
     t = np.clip(t, -1.0, 1.0)
     alpha = H.alpha_for_dim(dim)
-    from . import backend
-
     return H.addition_scale(ell, dim) * backend.gegenbauer_last(alpha, ell, t)
 
 
-def _phase_overrides(model: InducingModel, state: VariationalState):
+def _phase_overrides(model: InducingModel, state: VariationalState) -> dict:
     """(V, cholesky) pairs for frequencies whose phases live in the state."""
-    if not state.phases:
-        return None, {}
     overrides = {}
     for ell, V in state.phases.items():
         gram = _phase_gram(V, ell, model.basis.dim)
         L, jitter = H._chol_with_jitter(gram)
         overrides[ell] = (V, L)
-    return overrides, overrides
+    return overrides
+
+
+def _times_factor(B: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """B @ L for lower-triangular L, as one BLAS trmm on Fortran-ordered views."""
+    return dtrmm(1.0, L.T, B.T).T
+
+
+def _times_factor_t(B: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """B @ L.T for lower-triangular L, as one BLAS trmm on Fortran-ordered views."""
+    return dtrmm(1.0, L.T, B.T, trans_a=1).T
 
 
 @dataclass
@@ -324,7 +339,7 @@ class _Core:
     A: np.ndarray  # (N, M) lam * F
     mu: np.ndarray
     v: np.ndarray
-    C: np.ndarray  # (N, M) A @ S
+    G: np.ndarray  # (N, M) A @ L; G G^T = A S A^T
     w: np.ndarray  # sum_j lam f^2 per row
     lam: np.ndarray
     kxx: float
@@ -336,18 +351,17 @@ class _Core:
 def _posterior_core(model, state, X) -> _Core:
     spec = _effective_spectrum(model, state)
     lam = _lambda_per_feature(model, spec)
-    overrides, _ = _phase_overrides(model, state)
+    overrides = _phase_overrides(model, state)
     F = H.features(model.basis, np.atleast_2d(X), overrides=overrides)
     A = F * lam[None, :]
     L = state.cov_factor()
-    S = L @ L.T
-    C = A @ S
+    G = _times_factor(A, L)
     mu = A @ state.mean
-    quad_s = np.einsum("ij,ij->i", A, C)
+    quad_s = np.einsum("ij,ij->i", G, G)
     w = np.einsum("ij,ij->i", A, F)
     kxx = K.mercer_diag_value(spec)
     v = kxx + quad_s - w
-    return _Core(F=F, A=A, mu=mu, v=v, C=C, w=w, lam=lam, kxx=kxx, L=L, spec=spec, overrides=overrides or {})
+    return _Core(F=F, A=A, mu=mu, v=v, G=G, w=w, lam=lam, kxx=kxx, L=L, spec=spec, overrides=overrides)
 
 
 def _clamp_variances(v: np.ndarray) -> np.ndarray:
@@ -365,9 +379,7 @@ def predict(model, state, X, full_cov: bool = False):
     if not full_cov:
         return core.mu, _clamp_variances(core.v)
     Kmat = K.mercer_gram(core.spec, np.atleast_2d(X))
-    G = core.A @ core.L
-    B = core.F * core.lam[None, :]
-    cov = Kmat + G @ G.T - B @ core.F.T
+    cov = Kmat + core.G @ core.G.T - core.A @ core.F.T
     return core.mu, cov
 
 
@@ -449,7 +461,7 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     n_batch = X.shape[0]
     scale = n_total / n_batch
 
-    lam, F, A, C, L = core.lam, core.F, core.A, core.C, core.L
+    lam, F, A, G, L = core.lam, core.F, core.A, core.G, core.L
     mean = state.mean
     m_dim = lam.size
     value = scale * float(np.sum(e)) - _kl_from_parts(lam, mean, L)
@@ -457,21 +469,22 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     # mean
     g_mean = scale * (A.T @ g) - lam * mean
 
-    # covariance factor (log-diagonal parameterization)
-    hA = h[:, None] * A
-    s_bar = scale * (A.T @ hA)  # dD/dS, symmetric
-    inv_L_t = solve_triangular(L, np.eye(m_dim), lower=True, check_finite=False).T
-    Lbar = 2.0 * s_bar @ L - lam[:, None] * L + inv_L_t
-    tril = _tril_cached(m_dim)
-    g_cov = Lbar[tril]
-    diag_pos = _diag_positions(m_dim)
-    g_cov[diag_pos] *= np.diag(L)
+    # covariance factor (log-diagonal parameterization). With the data
+    # adjoint s_bar = scale A^T diag(h) A of S, T = s_bar L = scale A^T (h G),
+    # and the lower triangle of the KL term's L^{-T} is diag(1 / L_ii).
+    T = scale * (A.T @ (h[:, None] * G))
+    l_diag = np.diag(L)
+    Lbar = 2.0 * T - lam[:, None] * L
+    Lbar[np.diag_indices(m_dim)] += 1.0 / l_diag
+    g_cov = Lbar[_tril_cached(m_dim)]
+    g_cov[_diag_positions(m_dim)] *= l_diag
 
-    # per-feature lambda adjoint (data + KL), then chain into hypers
+    # per-feature lambda adjoint (data + KL), then chain into hypers;
+    # rowsum(T * L) / lam = scale sum_i h_i F_ij (A S)_ij
     s_diag = np.sum(L * L, axis=1)
     g_lam = (
         scale * (F.T @ g) * mean
-        + 2.0 * scale * np.einsum("ij,ij->j", h[:, None] * F, C)
+        + 2.0 * np.einsum("ij,ij->i", T, L) / lam
         - scale * ((F * F).T @ h)
         - 0.5 * (s_diag + mean * mean - 1.0 / lam)
     )
@@ -500,6 +513,7 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     # phases of truncated frequencies
     g_phases = {}
     if state.phases:
+        C = _times_factor_t(G, L)  # A S
         Fbar = scale * (
             g[:, None] * (lam * mean)[None, :]
             + 2.0 * h[:, None] * (lam[None, :] * C - A)
@@ -520,8 +534,7 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
             w_mat = asym * cp_vv
             np.fill_diagonal(w_mat, 0.0)
             grad_v = sc * (w_mat @ V)
-            t_xv = np.clip(X @ V.T, -1.0, 1.0)
-            cp_xv = 2.0 * alpha * _safe_last(alpha + 1.0, ell - 1, t_xv)
+            cp_xv = 2.0 * alpha * _safe_last(alpha + 1.0, ell - 1, X @ V.T)
             grad_v += sc * ((abar * cp_xv).T @ X)
             g_phases[ell] = grad_v
 
@@ -536,10 +549,6 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
 
 
 def _safe_last(alpha, degree, t):
-    from . import backend
-
-    if degree == 0:
-        return np.ones_like(np.asarray(t, dtype=np.float64))
     return backend.gegenbauer_last(alpha, degree, np.clip(t, -1.0, 1.0))
 
 

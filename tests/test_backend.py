@@ -52,6 +52,17 @@ def test_zonal_sum_matches_table_dot():
     )
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 4.5, 5.0, 38.0])
+@pytest.mark.parametrize("shape", [(57,), (9, 13)], ids=["1d", "2d"])
+def test_last_is_bit_identical_to_table_row(alpha, shape):
+    # the in-place recurrence keeps the table's order of operations exactly
+    t = np.random.default_rng(3).uniform(-1, 1, size=shape)
+    for degree in range(17):
+        last = backend.gegenbauer_last(alpha, degree, t)
+        assert last.shape == shape
+        assert np.array_equal(last, backend.gegenbauer_all(alpha, degree, t)[degree])
+
+
 def test_shapes_preserved():
     t = rng.uniform(-1, 1, size=(4, 6))
     assert backend.gegenbauer_all(0.5, 3, t).shape == (4, 4, 6)
