@@ -6,6 +6,10 @@ environment variables ``SPHGP_DATA_DIR`` (dataset root) and ``SPHGP_BACKEND``
 error record to stderr. Deterministic mode (the default) pins the numeric
 libraries to one thread; ``--parallel`` lifts that and relaxes
 bit-reproducibility to tolerance-reproducibility.
+
+``eval`` scores every row once: one ``vargp.predict`` call gives the
+predictive mean and variance of all rows, and both ``metrics.json`` and
+``predictions.csv`` are derived from those arrays.
 """
 
 from __future__ import annotations
@@ -160,7 +164,7 @@ def cmd_eval(args) -> int:
 
     ckpt = CP.load_checkpoint(args.checkpoint)
     if args.schema:
-        schema = D.load_schema(args.schema)
+        schema = D.load_schema(_resolve_data_path(args.schema))
     else:
         schema = D.parse_schema(ckpt.schema_text)
     if schema.task != ckpt.task:
@@ -180,22 +184,20 @@ def cmd_eval(args) -> int:
     sphere = D.project_to_sphere(X_std, ckpt.bias)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    mu, var = V.predict(ckpt.model, ckpt.state, sphere.coords)
     if ckpt.task == "regression":
         scaler_pair = (float(ckpt.target_scaler.mean), float(ckpt.target_scaler.std))
-        metrics = V.evaluate(
-            ckpt.model, ckpt.state, sphere.coords, dataset.targets, ckpt.likelihood,
-            target_scaler=scaler_pair,
+        metrics = V.heldout_metrics(
+            dataset.targets, mu, var, ckpt.likelihood,
+            noise_variance=ckpt.state.noise_variance, target_scaler=scaler_pair,
         )
-        mu, var = V.predict(ckpt.model, ckpt.state, sphere.coords)
         mu = mu * scaler_pair[1] + scaler_pair[0]
         var = var * scaler_pair[1] ** 2
         columns = ("index", "target", "pred_mean", "pred_var")
         rows = zip(range(len(sphere)), dataset.targets, mu, var)
     else:
-        metrics = V.evaluate(
-            ckpt.model, ckpt.state, sphere.coords, dataset.targets, ckpt.likelihood
-        )
-        prob = V.predictive_probability(ckpt.model, ckpt.state, sphere.coords, ckpt.likelihood)
+        metrics = V.heldout_metrics(dataset.targets, mu, var, ckpt.likelihood)
+        prob = V.class_probability(mu, var, ckpt.likelihood)
         columns = ("index", "target", "prob")
         rows = zip(range(len(sphere)), dataset.targets, prob)
     _write_json(out_dir / "metrics.json", metrics)

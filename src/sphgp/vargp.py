@@ -22,6 +22,13 @@ is ``rowsum(G^2)``, the data part of the factor gradient is ``A^T (h * G)``,
 and ``A S = G L^T`` is built only when phases train. Both triangular
 products are BLAS ``trmm`` calls, so one gradient evaluation costs
 O(N M^2) whether M is below or above N.
+
+The posterior is computed in two parts. The per-state part (``_posterior``:
+the effective spectrum, ``lam``, the Gram Cholesky of each trained phase
+block, ``L`` and ``k(x, x)``) is built once per call. The per-rows part
+(``_posterior_rows``: ``F``, ``A``, ``G``, the mean and the variance) runs
+on any subset of rows: the ELBO and its gradients pass their whole batch,
+and ``predict`` passes blocks of ``PREDICT_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ log = logging.getLogger(__name__)
 
 BETA_BOUNDS = (0.05, 10.0)
 VAR_CLAMP = 1e-10  # predictive variances in [-VAR_CLAMP, 0] clamp; below aborts
+PREDICT_ROWS = 512  # rows per predict block: F, A and G of one block fit in cache
 EIG_FLOOR = 1e-12  # eigenvalues at or below this (relative to max) count as zero
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(20)
@@ -334,34 +342,47 @@ def _times_factor_t(B: np.ndarray, L: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _Core:
+class _Posterior:
+    """Everything about q(f) that does not depend on the rows scored."""
+
+    spec: K.Spectrum
+    lam: np.ndarray  # per-feature variance * lambda_l
+    overrides: dict  # trained phase blocks: (directions, Gram Cholesky)
+    L: np.ndarray  # covariance factor of q(u)
+    mean: np.ndarray
+    kxx: float
+
+
+@dataclass
+class _Rows:
     F: np.ndarray  # (N, M) features
     A: np.ndarray  # (N, M) lam * F
-    mu: np.ndarray
-    v: np.ndarray
     G: np.ndarray  # (N, M) A @ L; G G^T = A S A^T
-    w: np.ndarray  # sum_j lam f^2 per row
-    lam: np.ndarray
-    kxx: float
-    L: np.ndarray  # covariance factor
-    spec: K.Spectrum
-    overrides: dict
+    mu: np.ndarray
+    v: np.ndarray  # unclamped predictive variance
 
 
-def _posterior_core(model, state, X) -> _Core:
+def _posterior(model, state) -> _Posterior:
     spec = _effective_spectrum(model, state)
-    lam = _lambda_per_feature(model, spec)
-    overrides = _phase_overrides(model, state)
-    F = H.features(model.basis, np.atleast_2d(X), overrides=overrides)
-    A = F * lam[None, :]
-    L = state.cov_factor()
-    G = _times_factor(A, L)
-    mu = A @ state.mean
+    return _Posterior(
+        spec=spec,
+        lam=_lambda_per_feature(model, spec),
+        overrides=_phase_overrides(model, state),
+        L=state.cov_factor(),
+        mean=state.mean,
+        kxx=K.mercer_diag_value(spec),
+    )
+
+
+def _posterior_rows(model, post: _Posterior, X) -> _Rows:
+    F = H.features(model.basis, X, overrides=post.overrides)
+    A = F * post.lam[None, :]
+    G = _times_factor(A, post.L)
+    mu = A @ post.mean
     quad_s = np.einsum("ij,ij->i", G, G)
     w = np.einsum("ij,ij->i", A, F)
-    kxx = K.mercer_diag_value(spec)
-    v = kxx + quad_s - w
-    return _Core(F=F, A=A, mu=mu, v=v, G=G, w=w, lam=lam, kxx=kxx, L=L, spec=spec, overrides=overrides)
+    v = post.kxx + quad_s - w
+    return _Rows(F=F, A=A, G=G, mu=mu, v=v)
 
 
 def _clamp_variances(v: np.ndarray) -> np.ndarray:
@@ -374,13 +395,30 @@ def _clamp_variances(v: np.ndarray) -> np.ndarray:
 
 
 def predict(model, state, X, full_cov: bool = False):
-    """Posterior mean and (co)variance of the latent function at X."""
-    core = _posterior_core(model, state, X)
-    if not full_cov:
-        return core.mu, _clamp_variances(core.v)
-    Kmat = K.mercer_gram(core.spec, np.atleast_2d(X))
-    cov = Kmat + core.G @ core.G.T - core.A @ core.F.T
-    return core.mu, cov
+    """Posterior mean and (co)variance of the latent function at X.
+
+    Each row's mean and variance depend only on that row's features, so
+    without ``full_cov`` the rows go through blocks of ``PREDICT_ROWS``:
+    working memory is O(PREDICT_ROWS * M) whatever the number of rows, and
+    the variance check covers every row once all blocks are done.
+    ``full_cov=True`` returns an (N, N) matrix and scores all rows in one
+    block.
+    """
+    X = np.atleast_2d(X)
+    post = _posterior(model, state)
+    if full_cov:
+        rows = _posterior_rows(model, post, X)
+        Kmat = K.mercer_gram(post.spec, X)
+        return rows.mu, Kmat + rows.G @ rows.G.T - rows.A @ rows.F.T
+    n = X.shape[0]
+    mu = np.empty(n)
+    v = np.empty(n)
+    for start in range(0, n, PREDICT_ROWS):
+        block = slice(start, start + PREDICT_ROWS)
+        rows = _posterior_rows(model, post, X[block])
+        mu[block] = rows.mu
+        v[block] = rows.v
+    return mu, _clamp_variances(v)
 
 
 def kl_term(model, state) -> float:
@@ -408,11 +446,12 @@ def elbo(model, state, X, y, likelihood, n_total: int) -> float:
         raise ValueError("batch must be non-empty")
     if n_total < X.shape[0]:
         raise ValueError("n_total must be at least the batch size")
-    core = _posterior_core(model, state, X)
-    v = _clamp_variances(core.v)
-    e, _, _, _ = _expected_loglik(likelihood, y, core.mu, v, state.noise_variance)
+    post = _posterior(model, state)
+    rows = _posterior_rows(model, post, X)
+    v = _clamp_variances(rows.v)
+    e, _, _, _ = _expected_loglik(likelihood, y, rows.mu, v, state.noise_variance)
     scale = n_total / X.shape[0]
-    return scale * float(np.sum(e)) - _kl_from_parts(core.lam, state.mean, core.L)
+    return scale * float(np.sum(e)) - _kl_from_parts(post.lam, state.mean, post.L)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +493,15 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
         raise ValueError("batch must be non-empty")
     if n_total < X.shape[0]:
         raise ValueError("n_total must be at least the batch size")
-    core = _posterior_core(model, state, X)
-    v = _clamp_variances(core.v)
+    post = _posterior(model, state)
+    rows = _posterior_rows(model, post, X)
+    v = _clamp_variances(rows.v)
     noise = state.noise_variance
-    e, g, h, dnoise = _expected_loglik(likelihood, y, core.mu, v, noise)
+    e, g, h, dnoise = _expected_loglik(likelihood, y, rows.mu, v, noise)
     n_batch = X.shape[0]
     scale = n_total / n_batch
 
-    lam, F, A, G, L = core.lam, core.F, core.A, core.G, core.L
+    lam, L, F, A, G = post.lam, post.L, rows.F, rows.A, rows.G
     mean = state.mean
     m_dim = lam.size
     value = scale * float(np.sum(e)) - _kl_from_parts(lam, mean, L)
@@ -490,16 +530,16 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     )
     h_total = scale * float(np.sum(h))
 
-    g_log_variance = float(np.dot(g_lam, lam) + h_total * core.kxx)
+    g_log_variance = float(np.dot(g_lam, lam) + h_total * post.kxx)
 
     g_log_beta = None
     if state.log_beta is not None:
-        dlam_dbeta = K.poly_decay_beta_gradient(core.spec)
+        dlam_dbeta = K.poly_decay_beta_gradient(post.spec)
         counts = np.array(
-            [num_harmonics(ell, core.spec.dim) for ell in range(core.spec.max_frequency + 1)],
+            [num_harmonics(ell, post.spec.dim) for ell in range(post.spec.max_frequency + 1)],
             dtype=np.float64,
         )
-        sigma2 = core.spec.variance
+        sigma2 = post.spec.variance
         per_feature = float(
             np.dot(g_lam, sigma2 * dlam_dbeta[model.feature_frequencies])
         )
@@ -522,7 +562,7 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
         for ell, cols, fs in model.basis.blocks():
             if ell not in state.phases:
                 continue
-            V, L_A = core.overrides[ell]
+            V, L_A = post.overrides[ell]
             sc = H.addition_scale(ell, model.basis.dim)
             Fb = F[:, cols]
             Fbar_b = Fbar[:, cols]
@@ -721,9 +761,8 @@ def auc_score(labels, scores) -> float:
     return float((np.sum(ranks[pos]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def predictive_probability(model, state, X, likelihood) -> np.ndarray:
-    """p(y = 1 | x) under the Gaussian posterior over the latent function."""
-    mu, v = predict(model, state, X)
+def class_probability(mu, v, likelihood) -> np.ndarray:
+    """p(y = 1 | x) from the latent predictive mean and variance."""
     if likelihood.link == "probit":
         from scipy.special import ndtr
 
@@ -732,16 +771,17 @@ def predictive_probability(model, state, X, likelihood) -> np.ndarray:
     return expit(z) @ _GH_WEIGHTS
 
 
-def evaluate(model, state, X, y, likelihood, target_scaler=None) -> dict:
-    """Held-out metrics: RMSE and mean NLL for regression, AUC and NLL for binary.
+def heldout_metrics(y, mu, v, likelihood, noise_variance=None, target_scaler=None) -> dict:
+    """Held-out metrics from the latent predictive mean and variance.
 
-    For regression, ``target_scaler`` (mean, std) maps predictions back to the
-    original units; ``y`` is expected in original units as well.
+    RMSE and mean NLL for regression (``noise_variance`` is the trained
+    noise), AUC and mean NLL for binary targets. For regression,
+    ``target_scaler`` (mean, std) maps predictions back to the original
+    units; ``y`` is expected in original units as well.
     """
     y = np.asarray(y, dtype=np.float64)
     if likelihood.kind == "gaussian":
-        mu, v = predict(model, state, X)
-        noise = state.noise_variance
+        noise = noise_variance
         if target_scaler is not None:
             loc, sd = target_scaler
             mu = mu * sd + loc
@@ -752,6 +792,20 @@ def evaluate(model, state, X, y, likelihood, target_scaler=None) -> dict:
         nll = float(np.mean(0.5 * np.log(2.0 * np.pi * total) + (y - mu) ** 2 / (2.0 * total)))
         return {"rmse": rmse, "mean_nll": nll}
     _check_binary_targets(y)
-    p = np.clip(predictive_probability(model, state, X, likelihood), 1e-12, 1.0 - 1e-12)
+    p = np.clip(class_probability(mu, v, likelihood), 1e-12, 1.0 - 1e-12)
     nll = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
     return {"auc": auc_score(y, p), "mean_nll": nll}
+
+
+def predictive_probability(model, state, X, likelihood) -> np.ndarray:
+    """p(y = 1 | x) under the Gaussian posterior over the latent function."""
+    mu, v = predict(model, state, X)
+    return class_probability(mu, v, likelihood)
+
+
+def evaluate(model, state, X, y, likelihood, target_scaler=None) -> dict:
+    """Held-out metrics of the model at X; see ``heldout_metrics``."""
+    mu, v = predict(model, state, X)
+    return heldout_metrics(
+        y, mu, v, likelihood, noise_variance=state.noise_variance, target_scaler=target_scaler
+    )

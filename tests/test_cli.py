@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from sphgp import checkpoint as CP
 from sphgp import cli, synthetic
+from sphgp import data_io as D
+from sphgp import vargp as V
 from sphgp.config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
 
 
@@ -71,6 +74,29 @@ def regression_run(tmp_path_factory):
     return tmp, cfg, run_dir
 
 
+@pytest.fixture(scope="module")
+def classification_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli_cls")
+    synthetic.write_classification_csv(tmp / "cls.csv", 200, 3, seed=6)
+    (tmp / "cls.schema").write_text(synthetic.classification_schema(3))
+    cfg = RunConfig(
+        kernel="poly_decay",
+        beta0=1.5,
+        max_frequency=3,
+        phase_limit=4,
+        iterations=5,
+        batch_size=100,
+        data_csv=str(tmp / "cls.csv"),
+        schema=str(tmp / "cls.schema"),
+        out_root=str(tmp / "runs"),
+    )
+    (tmp / "run.cfg").write_text(serialize_config(cfg))
+    rc = cli.main(["train", "--config", str(tmp / "run.cfg")])
+    assert rc == 0
+    run_dir = tmp / "runs" / config_hash(cfg)
+    return tmp, cfg, run_dir
+
+
 class TestTrain:
     def test_exit_zero_and_artifacts(self, regression_run):
         _, _, run_dir = regression_run
@@ -123,6 +149,66 @@ class TestEval:
         assert set(metrics) == {"rmse", "mean_nll"}
         header = (out / "predictions.csv").read_text().splitlines()[0]
         assert header == "index,target,pred_mean,pred_var"
+
+    def test_binary_eval_writes_probabilities(self, classification_run, tmp_path):
+        tmp, cfg, run_dir = classification_run
+        out = tmp_path / "evalout"
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+            "--data", cfg.data_csv,
+            "--out", str(out),
+        ])
+        assert rc == 0
+        ckpt = CP.load_checkpoint(run_dir / "checkpoint.npz")
+        dataset = D.load_csv(cfg.data_csv, D.parse_schema(ckpt.schema_text))
+        lines = (out / "predictions.csv").read_text().splitlines()
+        assert lines[0] == "index,target,prob"
+        assert len(lines) == 1 + dataset.num_rows
+        prob = np.array([float(line.split(",")[2]) for line in lines[1:]])
+        assert np.all((prob >= 0.0) & (prob <= 1.0))
+        sphere = D.project_to_sphere(ckpt.input_scaler.transform(dataset.inputs), ckpt.bias)
+        expected = V.evaluate(
+            ckpt.model, ckpt.state, sphere.coords, dataset.targets, ckpt.likelihood
+        )
+        assert json.loads((out / "metrics.json").read_text()) == expected
+
+    @pytest.mark.parametrize("run", ["regression_run", "classification_run"])
+    def test_eval_predicts_every_row_once(self, run, request, tmp_path, monkeypatch):
+        _, cfg, run_dir = request.getfixturevalue(run)
+        rows_per_call = []
+        predict = V.predict
+
+        def counting(model, state, X, *args, **kwargs):
+            rows_per_call.append(len(X))
+            return predict(model, state, X, *args, **kwargs)
+
+        monkeypatch.setattr(V, "predict", counting)
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+            "--data", cfg.data_csv,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        n_rows = len((tmp_path / "out" / "predictions.csv").read_text().splitlines()) - 1
+        assert rows_per_call == [n_rows]
+
+    def test_relative_schema_resolves_under_data_dir(
+        self, classification_run, tmp_path, monkeypatch
+    ):
+        tmp, _, run_dir = classification_run
+        monkeypatch.setenv("SPHGP_DATA_DIR", str(tmp))
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+            "--data", "cls.csv",
+            "--schema", "cls.schema",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        assert (tmp_path / "out" / "predictions.csv").exists()
 
     def test_task_mismatch_is_typed_error(self, regression_run, tmp_path, capsys):
         tmp, _, run_dir = regression_run

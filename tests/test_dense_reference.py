@@ -28,7 +28,7 @@ def assert_close(actual, desired):
     np.testing.assert_allclose(actual, desired, rtol=RTOL, atol=atol)
 
 
-def make_problem(likelihood, trained_phases, seed=7):
+def make_problem(likelihood, trained_phases, seed=7, n_rows=N_BATCH):
     rng = np.random.default_rng(seed)
     spec = K.poly_decay_spectrum(1.8, DIM, LMAX, variance=1.1)
     model = V.build_inducing_model(spec, phase_limit=2, seed=seed)
@@ -46,11 +46,11 @@ def make_problem(likelihood, trained_phases, seed=7):
             state.phases[ell] = moved / np.linalg.norm(moved, axis=1, keepdims=True)
     else:
         state.phases = {}
-    X = random_sphere(rng, N_BATCH, DIM)
+    X = random_sphere(rng, n_rows, DIM)
     if likelihood.kind == "gaussian":
-        y = rng.standard_normal(N_BATCH)
+        y = rng.standard_normal(n_rows)
     else:
-        y = (rng.random(N_BATCH) < 0.5).astype(float)
+        y = (rng.random(n_rows) < 0.5).astype(float)
     return model, state, L, X, y
 
 
@@ -78,6 +78,18 @@ def prior_gram(X, lam_ell):
     )
 
 
+def reference_features(model, state, X):
+    """Features with trained blocks from the oracle, and each block's phase VJP."""
+    F = H.features(model.basis, X)
+    phase_vjps = {}
+    for ell, cols, _ in model.basis.blocks():
+        if ell in state.phases:
+            F[:, cols], phase_vjps[ell] = oracles.phase_block_reference(
+                X, state.phases[ell], ell, DIM
+            )
+    return F, phase_vjps
+
+
 LIKELIHOODS = [
     V.GaussianLikelihood(0.07),
     V.BernoulliLikelihood("probit"),
@@ -93,14 +105,8 @@ def test_matches_dense_reference(likelihood, trained_phases):
     freqs = model.feature_frequencies
     lam = lam_ell[freqs]
 
-    F = H.features(model.basis, X)
-    phase_vjps = {}
-    for ell, cols, _ in model.basis.blocks():
-        if ell in state.phases:
-            F[:, cols], phase_vjps[ell] = oracles.phase_block_reference(
-                X, state.phases[ell], ell, DIM
-            )
-    assert_close(V._posterior_core(model, state, X).F, F)
+    F, phase_vjps = reference_features(model, state, X)
+    assert_close(V._posterior_rows(model, V._posterior(model, state), X).F, F)
 
     link = getattr(likelihood, "link", None)
     ref = oracles.dense_svgp_reference(
@@ -143,3 +149,21 @@ def test_matches_dense_reference(likelihood, trained_phases):
     for ell, cols, _ in model.basis.blocks():
         if ell in phase_vjps:
             assert_close(grads.phases[ell], phase_vjps[ell](ref["F"][:, cols]))
+
+
+@pytest.mark.parametrize("trained_phases", [True, False])
+@pytest.mark.parametrize(
+    "n_rows", [1, V.PREDICT_ROWS - 1, V.PREDICT_ROWS, 2 * V.PREDICT_ROWS + 1]
+)
+def test_blocked_predict_matches_dense_reference(n_rows, trained_phases):
+    likelihood = V.GaussianLikelihood(0.07)
+    model, state, L, X, y = make_problem(likelihood, trained_phases, n_rows=n_rows)
+    lam_ell, _, counts = spectrum_terms(model, state)
+    F, _ = reference_features(model, state, X)
+    ref = oracles.dense_svgp_reference(
+        F, lam_ell[model.feature_frequencies], float(np.dot(counts, lam_ell)),
+        prior_gram(X, lam_ell), state.mean, L, y, 1.0, noise=state.noise_variance,
+    )
+    mu, var = V.predict(model, state, X)
+    assert_close(mu, ref["mu"])
+    assert_close(var, ref["var"])

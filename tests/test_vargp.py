@@ -151,6 +151,19 @@ class TestPredict:
         _, var = V.predict(truncated_model, state, X)
         assert np.all(var >= 0.0)
 
+    def test_indefinite_rows_in_last_block_raise(self, full_model):
+        # off the unit sphere the features break the addition theorem, so
+        # k(x, x) - sum_j lam_j f_j(x)^2 goes negative at those rows only
+        rng = np.random.default_rng(8)
+        state = V.init_state(full_model, V.GaussianLikelihood(0.1))
+        state.cov_params = V.cov_params_from_factor(1e-3 * state.cov_factor())
+        X = random_sphere(rng, 2 * V.PREDICT_ROWS + 3, 3)
+        _, var = V.predict(full_model, state, X)
+        assert np.all(var > 0.0)
+        X[-2:] *= 1.05
+        with pytest.raises(FloatingPointError):
+            V.predict(full_model, state, X)
+
 
 class TestKl:
     def test_zero_at_prior(self, full_model):
