@@ -16,6 +16,7 @@ from . import vargp as V
 from .data_io import Scaler
 
 CHECKPOINT_VERSION = 1
+_MOMENTS = ("m", "v")  # Adam's first and second moments, each keyed like V.pack_state
 
 
 @dataclass
@@ -37,8 +38,34 @@ def _opt(value, default=np.nan):
     return default if value is None else value
 
 
+def _state_arrays(state: V.VariationalState) -> dict[str, np.ndarray]:
+    """``state_<key>`` per packed block; an absent optional block is a NaN.
+
+    Phases are left out: the basis arrays hold them.
+    """
+    packed = {key: np.asarray(np.nan) for key in V.OPTIONAL_BLOCKS}
+    packed.update(V.pack_state(state))
+    return {
+        f"state_{key}": value
+        for key, value in packed.items()
+        if not key.startswith(V.PHASE_PREFIX)
+    }
+
+
+def _state_from_arrays(arrays: dict, basis: H.HarmonicBasis) -> V.VariationalState:
+    params = {
+        key[len("state_"):]: value
+        for key, value in arrays.items()
+        if key.startswith("state_") and not (value.ndim == 0 and np.isnan(value))
+    }
+    for fs in basis.sets:
+        if not fs.is_full:
+            params[f"{V.PHASE_PREFIX}{fs.frequency}"] = fs.directions.copy()
+    return V.unpack_state(params)
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    state, model = ckpt.state, ckpt.model
+    model = ckpt.model
     arrays = {
         "checkpoint_version": np.asarray(CHECKPOINT_VERSION, dtype=np.int64),
         "task": np.asarray(ckpt.task),
@@ -53,16 +80,11 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "spectrum_variance": np.asarray(model.spectrum.variance, dtype=np.float64),
         "spectrum_beta": np.asarray(_opt(model.spectrum.beta), dtype=np.float64),
         "spectrum_lambda0": np.asarray(model.spectrum.lambda0, dtype=np.float64),
-        # state
-        "state_mean": state.mean,
-        "state_cov_params": state.cov_params,
-        "state_log_variance": np.asarray(state.log_variance, dtype=np.float64),
-        "state_log_beta": np.asarray(_opt(state.log_beta), dtype=np.float64),
-        "state_log_noise": np.asarray(_opt(state.log_noise), dtype=np.float64),
         # likelihood
         "likelihood_kind": np.asarray(ckpt.likelihood.kind),
         "likelihood_link": np.asarray(getattr(ckpt.likelihood, "link", "")),
     }
+    arrays.update(_state_arrays(ckpt.state))
     arrays.update(H.basis_to_arrays(model.basis))
     if ckpt.input_scaler is not None:
         arrays["input_scaler_mean"] = ckpt.input_scaler.mean
@@ -72,15 +94,10 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         arrays["target_scaler_std"] = np.atleast_1d(ckpt.target_scaler.std)
     if ckpt.moments is not None:
         arrays["adam_step"] = np.asarray(ckpt.moments["step"], dtype=np.int64)
-        for key, val in ckpt.moments["m"].items():
-            arrays[f"adam_m_{key}"] = np.asarray(val, dtype=np.float64)
-        for key, val in ckpt.moments["v"].items():
-            arrays[f"adam_v_{key}"] = np.asarray(val, dtype=np.float64)
+        for moment in _MOMENTS:
+            for key, val in ckpt.moments[moment].items():
+                arrays[f"adam_{moment}_{key}"] = np.asarray(val, dtype=np.float64)
     np.savez(path, **arrays)
-
-
-def _scalar(arrays, key):
-    return arrays[key][()] if key in arrays else None
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -100,25 +117,12 @@ def load_checkpoint(path) -> Checkpoint:
         lambda0=float(arrays["spectrum_lambda0"]),
     )
     model = V.InducingModel(basis=basis, spectrum=spectrum)
-    log_beta = float(arrays["state_log_beta"])
-    log_noise = float(arrays["state_log_noise"])
-    state = V.VariationalState(
-        mean=np.asarray(arrays["state_mean"], dtype=np.float64),
-        cov_params=np.asarray(arrays["state_cov_params"], dtype=np.float64),
-        log_variance=float(arrays["state_log_variance"]),
-        log_beta=None if np.isnan(log_beta) else log_beta,
-        log_noise=None if np.isnan(log_noise) else log_noise,
-        phases={
-            fs.frequency: fs.directions.copy()
-            for fs in basis.sets
-            if not fs.is_full
-        },
-    )
+    state = _state_from_arrays(arrays, basis)
     kind = str(arrays["likelihood_kind"])
     if kind == "gaussian":
-        likelihood = V.GaussianLikelihood(
-            noise_variance=float(np.exp(log_noise)) if not np.isnan(log_noise) else 0.1
-        )
+        if state.log_noise is None:
+            raise ValueError("Gaussian checkpoint has no trained noise (state_log_noise is NaN)")
+        likelihood = V.GaussianLikelihood(noise_variance=state.noise_variance)
     else:
         likelihood = V.BernoulliLikelihood(link=str(arrays["likelihood_link"]))
     input_scaler = None
@@ -135,15 +139,12 @@ def load_checkpoint(path) -> Checkpoint:
         )
     moments = None
     if "adam_step" in arrays:
-        moments = {
-            "step": int(arrays["adam_step"]),
-            "m": {
-                k[len("adam_m_"):]: arrays[k] for k in arrays if k.startswith("adam_m_")
-            },
-            "v": {
-                k[len("adam_v_"):]: arrays[k] for k in arrays if k.startswith("adam_v_")
-            },
-        }
+        moments = {"step": int(arrays["adam_step"])}
+        for moment in _MOMENTS:
+            prefix = f"adam_{moment}_"
+            moments[moment] = {
+                k[len(prefix):]: arrays[k] for k in arrays if k.startswith(prefix)
+            }
     return Checkpoint(
         model=model,
         state=state,

@@ -1,11 +1,11 @@
 """Command-line surface: ``sphgp train | eval | eigvals | gradcheck``.
 
 Every command reads only its arguments, the config file, and the declared
-environment variables ``SPHGP_DATA_DIR`` (dataset root) and ``SPHGP_BACKEND``
-(numeric backend). Failures exit nonzero after printing a one-line JSON
-error record to stderr. Deterministic mode (the default) pins the numeric
-libraries to one thread; ``--parallel`` lifts that and relaxes
-bit-reproducibility to tolerance-reproducibility.
+environment variable ``SPHGP_DATA_DIR`` (dataset root). Failures exit
+nonzero after printing a one-line JSON error record to stderr.
+Deterministic mode (the default) pins the numeric libraries to one thread;
+``--parallel`` lifts that and relaxes bit-reproducibility to
+tolerance-reproducibility.
 
 ``eval`` scores every row once: one ``vargp.predict`` call gives the
 predictive mean and variance of all rows, and both ``metrics.json`` and
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         det = p.add_mutually_exclusive_group()
         det.add_argument(
             "--deterministic", action="store_true", default=True,
@@ -330,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model from a config file")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", default=None, help="output root (default from config)")
+    p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
     common(p_train)
     p_train.set_defaults(func=cmd_train)
 
@@ -357,9 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc = sub.add_parser("gradcheck", help="verify analytic gradients on a synthetic problem")
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
-    det = p_gc.add_mutually_exclusive_group()
-    det.add_argument("--deterministic", action="store_true", default=True)
-    det.add_argument("--parallel", dest="deterministic", action="store_false")
+    common(p_gc)
     p_gc.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -367,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "deterministic", True):
+    if args.deterministic:
         _pin_threads()
     try:
         return args.func(args)

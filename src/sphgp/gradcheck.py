@@ -37,24 +37,22 @@ def check_gradients(
     damaged, which lets callers verify the check itself can fail.
     """
     _, grads = V.elbo_gradients(model, state, X, y, likelihood, n_total)
-    garr = V._grad_arrays(grads)
     if corrupt is not None:
-        if corrupt not in garr:
+        if corrupt not in grads:
             raise KeyError(f"unknown parameter block {corrupt!r}")
-        garr[corrupt] = garr[corrupt] * 1.1 + 0.05
-    params = V._state_params(state)
+        grads[corrupt] = grads[corrupt] * 1.1 + 0.05
+    params = V.pack_state(state)
 
     def value_at(p):
-        return V.elbo(model, V._state_from_params(p, state), X, y, likelihood, n_total)
+        return V.elbo(model, V.unpack_state(p), X, y, likelihood, n_total)
 
     rows = []
-    for key in garr:
-        grad_flat = np.atleast_1d(np.asarray(garr[key], dtype=np.float64)).ravel()
-        base = np.asarray(params[key], dtype=np.float64)
+    for key in grads:
+        grad_flat = np.atleast_1d(grads[key]).ravel()
         for i in range(grad_flat.size):
-            plus = {k: np.array(v, dtype=np.float64, copy=True) for k, v in params.items()}
+            plus = {k: v.copy() for k, v in params.items()}
             plus[key].reshape(-1)[i] += h
-            minus = {k: np.array(v, dtype=np.float64, copy=True) for k, v in params.items()}
+            minus = {k: v.copy() for k, v in params.items()}
             minus[key].reshape(-1)[i] -= h
             fd = (value_at(plus) - value_at(minus)) / (2.0 * h)
             a = float(grad_flat[i])
@@ -62,7 +60,7 @@ def check_gradients(
             err = abs(a - fd)
             rel = err / denom if denom > 0 else 0.0
             ok = err <= max(rtol * denom, atol)
-            name = key if base.ndim == 0 else f"{key}[{i}]"
+            name = key if params[key].ndim == 0 else f"{key}[{i}]"
             rows.append(GradCheckRow(name, a, fd, rel, ok))
     return rows
 

@@ -247,8 +247,7 @@ def _tril_cached(m: int):
 def cov_params_from_factor(L: np.ndarray) -> np.ndarray:
     m = L.shape[0]
     packed = L[_tril_cached(m)].copy()
-    diag_pos = np.cumsum(np.arange(1, m + 1)) - 1
-    packed[diag_pos] = np.log(L[np.arange(m), np.arange(m)])
+    packed[_diag_positions(m)] = np.log(L[np.arange(m), np.arange(m)])
     return packed
 
 
@@ -280,6 +279,46 @@ def init_state(
     )
 
 
+PHASE_PREFIX = "phases_"
+OPTIONAL_BLOCKS = ("log_beta", "log_noise")
+
+
+def pack_state(state: VariationalState) -> dict[str, np.ndarray]:
+    """Each trainable block of the state as a float64 array (a copy), by key.
+
+    The keys are ``mean``, ``cov_params`` and ``log_variance``, then each of
+    ``OPTIONAL_BLOCKS`` the state has, then ``phases_<l>`` per trained
+    frequency; scalars are 0-d arrays. ``elbo_gradients``, the Adam moments
+    in ``fit`` and the checkpoint use the same keys.
+    """
+    params = {
+        "mean": state.mean.copy(),
+        "cov_params": state.cov_params.copy(),
+        "log_variance": np.asarray(state.log_variance, dtype=np.float64),
+    }
+    for key in OPTIONAL_BLOCKS:
+        if getattr(state, key) is not None:
+            params[key] = np.asarray(getattr(state, key), dtype=np.float64)
+    for ell, V in state.phases.items():
+        params[f"{PHASE_PREFIX}{ell}"] = V.copy()
+    return params
+
+
+def unpack_state(params: dict[str, np.ndarray]) -> VariationalState:
+    """The state ``pack_state`` packed; arrays are used without copying."""
+    return VariationalState(
+        mean=params["mean"],
+        cov_params=params["cov_params"],
+        log_variance=float(params["log_variance"]),
+        **{key: float(params[key]) for key in OPTIONAL_BLOCKS if key in params},
+        phases={
+            int(key[len(PHASE_PREFIX):]): V
+            for key, V in params.items()
+            if key.startswith(PHASE_PREFIX)
+        },
+    )
+
+
 # ---------------------------------------------------------------------------
 # covariance structure
 # ---------------------------------------------------------------------------
@@ -294,11 +333,6 @@ def _lambda_per_feature(model: InducingModel, spectrum: K.Spectrum) -> np.ndarra
         bad = model.feature_frequencies[lam <= 0]
         raise ValueError(f"populated frequencies {sorted(set(bad.tolist()))} have zero eigenvalue")
     return lam
-
-
-def kuf(model: InducingModel, x) -> np.ndarray:
-    """Covariance between f(x) and each inducing variable: the feature vector."""
-    return H.features(model.basis, x)
 
 
 def kuu_diag(model: InducingModel, spectrum: K.Spectrum | None = None) -> np.ndarray:
@@ -438,8 +472,21 @@ def _kl_from_parts(lam, mean, L) -> float:
     )
 
 
-def elbo(model, state, X, y, likelihood, n_total: int) -> float:
-    """Stochastic evidence lower bound on a (mini)batch of n_total points."""
+@dataclass
+class _Batch:
+    """The ELBO of one batch and the terms its gradients reuse."""
+
+    X: np.ndarray
+    post: _Posterior
+    rows: _Rows
+    scale: float  # n_total / batch size
+    g: np.ndarray  # d E[log p(y | f)] / d mu per row
+    h: np.ndarray  # d E[log p(y | f)] / d v per row
+    dnoise: np.ndarray | None  # d E[log p(y | f)] / d noise per row (Gaussian only)
+    value: float
+
+
+def _elbo_batch(model, state, X, y, likelihood, n_total: int) -> _Batch:
     X = np.atleast_2d(X)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
@@ -449,24 +496,20 @@ def elbo(model, state, X, y, likelihood, n_total: int) -> float:
     post = _posterior(model, state)
     rows = _posterior_rows(model, post, X)
     v = _clamp_variances(rows.v)
-    e, _, _, _ = _expected_loglik(likelihood, y, rows.mu, v, state.noise_variance)
+    e, g, h, dnoise = _expected_loglik(likelihood, y, rows.mu, v, state.noise_variance)
     scale = n_total / X.shape[0]
-    return scale * float(np.sum(e)) - _kl_from_parts(post.lam, state.mean, post.L)
+    value = scale * float(np.sum(e)) - _kl_from_parts(post.lam, state.mean, post.L)
+    return _Batch(X=X, post=post, rows=rows, scale=scale, g=g, h=h, dnoise=dnoise, value=value)
+
+
+def elbo(model, state, X, y, likelihood, n_total: int) -> float:
+    """Stochastic evidence lower bound on a (mini)batch of n_total points."""
+    return _elbo_batch(model, state, X, y, likelihood, n_total).value
 
 
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ElboGradients:
-    mean: np.ndarray
-    cov_params: np.ndarray
-    log_variance: float
-    log_beta: float | None = None
-    log_noise: float | None = None
-    phases: dict[int, np.ndarray] = field(default_factory=dict)
-
 
 def _chol_asym_backward(L: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
     """Adjoint of A -> chol(A), returned with both index orders summed.
@@ -486,28 +529,18 @@ def _chol_asym_backward(L: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
 
 
 def elbo_gradients(model, state, X, y, likelihood, n_total: int):
-    """ELBO value and exact gradients with respect to every trainable parameter."""
-    X = np.atleast_2d(X)
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    if n_total < X.shape[0]:
-        raise ValueError("n_total must be at least the batch size")
-    post = _posterior(model, state)
-    rows = _posterior_rows(model, post, X)
-    v = _clamp_variances(rows.v)
-    noise = state.noise_variance
-    e, g, h, dnoise = _expected_loglik(likelihood, y, rows.mu, v, noise)
-    n_batch = X.shape[0]
-    scale = n_total / n_batch
+    """ELBO value and its exact gradient, keyed like ``pack_state(state)``.
 
-    lam, L, F, A, G = post.lam, post.L, rows.F, rows.A, rows.G
+    Scalar blocks are 0-d arrays.
+    """
+    batch = _elbo_batch(model, state, X, y, likelihood, n_total)
+    X, post, scale, g, h = batch.X, batch.post, batch.scale, batch.g, batch.h
+    lam, L, F, A, G = post.lam, post.L, batch.rows.F, batch.rows.A, batch.rows.G
     mean = state.mean
     m_dim = lam.size
-    value = scale * float(np.sum(e)) - _kl_from_parts(lam, mean, L)
 
     # mean
-    g_mean = scale * (A.T @ g) - lam * mean
+    grads = {"mean": scale * (A.T @ g) - lam * mean}
 
     # covariance factor (log-diagonal parameterization). With the data
     # adjoint s_bar = scale A^T diag(h) A of S, T = s_bar L = scale A^T (h G),
@@ -518,6 +551,7 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     Lbar[np.diag_indices(m_dim)] += 1.0 / l_diag
     g_cov = Lbar[_tril_cached(m_dim)]
     g_cov[_diag_positions(m_dim)] *= l_diag
+    grads["cov_params"] = g_cov
 
     # per-feature lambda adjoint (data + KL), then chain into hypers;
     # rowsum(T * L) / lam = scale sum_i h_i F_ij (A S)_ij
@@ -530,9 +564,8 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     )
     h_total = scale * float(np.sum(h))
 
-    g_log_variance = float(np.dot(g_lam, lam) + h_total * post.kxx)
+    grads["log_variance"] = np.asarray(np.dot(g_lam, lam) + h_total * post.kxx)
 
-    g_log_beta = None
     if state.log_beta is not None:
         dlam_dbeta = K.poly_decay_beta_gradient(post.spec)
         counts = np.array(
@@ -544,14 +577,14 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
             np.dot(g_lam, sigma2 * dlam_dbeta[model.feature_frequencies])
         )
         via_kxx = h_total * sigma2 * float(np.dot(counts, dlam_dbeta))
-        g_log_beta = (per_feature + via_kxx) * state.beta
+        grads["log_beta"] = np.asarray((per_feature + via_kxx) * state.beta)
 
-    g_log_noise = None
     if likelihood.kind == "gaussian":
-        g_log_noise = scale * float(np.sum(dnoise)) * noise
+        grads["log_noise"] = np.asarray(
+            scale * float(np.sum(batch.dnoise)) * state.noise_variance
+        )
 
     # phases of truncated frequencies
-    g_phases = {}
     if state.phases:
         C = _times_factor_t(G, L)  # A S
         Fbar = scale * (
@@ -576,16 +609,9 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
             grad_v = sc * (w_mat @ V)
             cp_xv = 2.0 * alpha * _safe_last(alpha + 1.0, ell - 1, X @ V.T)
             grad_v += sc * ((abar * cp_xv).T @ X)
-            g_phases[ell] = grad_v
+            grads[f"{PHASE_PREFIX}{ell}"] = grad_v
 
-    return value, ElboGradients(
-        mean=g_mean,
-        cov_params=g_cov,
-        log_variance=g_log_variance,
-        log_beta=g_log_beta,
-        log_noise=g_log_noise,
-        phases=g_phases,
-    )
+    return batch.value, grads
 
 
 def _safe_last(alpha, degree, t):
@@ -618,49 +644,6 @@ class TrainResult:
 _VARIATIONAL_KEYS = ("mean", "cov_params")
 
 
-def _state_params(state: VariationalState) -> dict[str, np.ndarray]:
-    params = {
-        "mean": state.mean.copy(),
-        "cov_params": state.cov_params.copy(),
-        "log_variance": np.asarray(state.log_variance, dtype=np.float64),
-    }
-    if state.log_beta is not None:
-        params["log_beta"] = np.asarray(state.log_beta, dtype=np.float64)
-    if state.log_noise is not None:
-        params["log_noise"] = np.asarray(state.log_noise, dtype=np.float64)
-    for ell, V in state.phases.items():
-        params[f"phases_{ell}"] = V.copy()
-    return params
-
-
-def _state_from_params(params: dict, template: VariationalState) -> VariationalState:
-    return VariationalState(
-        mean=params["mean"],
-        cov_params=params["cov_params"],
-        log_variance=float(params["log_variance"]),
-        log_beta=float(params["log_beta"]) if "log_beta" in params else None,
-        log_noise=float(params["log_noise"]) if "log_noise" in params else None,
-        phases={
-            ell: params[f"phases_{ell}"] for ell in template.phases
-        },
-    )
-
-
-def _grad_arrays(grads: ElboGradients) -> dict[str, np.ndarray]:
-    out = {
-        "mean": grads.mean,
-        "cov_params": grads.cov_params,
-        "log_variance": np.asarray(grads.log_variance, dtype=np.float64),
-    }
-    if grads.log_beta is not None:
-        out["log_beta"] = np.asarray(grads.log_beta, dtype=np.float64)
-    if grads.log_noise is not None:
-        out["log_noise"] = np.asarray(grads.log_noise, dtype=np.float64)
-    for ell, gv in grads.phases.items():
-        out[f"phases_{ell}"] = gv
-    return out
-
-
 def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | None = None):
     """Maximize the ELBO with Adam (b1=0.9, b2=0.999) over all trainable parameters.
 
@@ -680,7 +663,7 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
     else:
         state = state.copy()
 
-    params = _state_params(state)
+    params = pack_state(state)
     mom_m = {k: np.zeros_like(v) for k, v in params.items()}
     mom_v = {k: np.zeros_like(v) for k, v in params.items()}
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -698,7 +681,7 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
             batch_iter = minibatches(n_total, config.batch_size, epoch_seed=config.seed + epoch)
             epoch += 1
             idx = next(batch_iter)
-        cur = _state_from_params(params, state)
+        cur = unpack_state(params)
         try:
             value, grads = elbo_gradients(model, cur, X[idx], y[idx], likelihood, n_total)
         except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
@@ -713,11 +696,10 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
                 f"ELBO became non-finite ({value}) at iteration {it}; "
                 f"variance={cur.variance:.3e}, beta={cur.beta}, noise={cur.noise_variance}"
             )
-        garr = _grad_arrays(grads)
         step += 1
         corr1 = 1.0 - b1**step
         corr2 = 1.0 - b2**step
-        for key, grad in garr.items():
+        for key, grad in grads.items():
             lr = config.lr_variational if key in _VARIATIONAL_KEYS else config.lr_hyper
             mom_m[key] = b1 * mom_m[key] + (1.0 - b1) * grad
             mom_v[key] = b2 * mom_v[key] + (1.0 - b2) * grad * grad
@@ -725,13 +707,13 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
             params[key] = params[key] + update
         if "log_beta" in params:
             params["log_beta"] = np.clip(params["log_beta"], log_beta_lo, log_beta_hi)
-        for ell in state.phases:
-            key = f"phases_{ell}"
-            params[key] = params[key] / np.linalg.norm(params[key], axis=1, keepdims=True)
+        for key in params:
+            if key.startswith(PHASE_PREFIX):
+                params[key] = params[key] / np.linalg.norm(params[key], axis=1, keepdims=True)
         if it % config.log_every == 0 or it == config.iterations - 1:
             trace.append((it, float(value), time.perf_counter() - t_start))
 
-    final = _state_from_params(params, state)
+    final = unpack_state(params)
     basis = model.basis
     for ell, V in final.phases.items():
         fs = replace(basis.set_for(ell), directions=V)

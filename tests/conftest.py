@@ -1,17 +1,6 @@
 import numpy as np
 import pytest
 
-from sphgp import backend
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_backend():
-    # trigger jit compilation outside any timed test section
-    t = np.linspace(-1.0, 1.0, 8)
-    backend.gegenbauer_all(0.5, 4, t)
-    backend.gegenbauer_last(1.5, 6, t)
-    backend.zonal_sum(np.ones(5), 0.5, t)
-
 
 def random_sphere(rng, n, dim):
     x = rng.standard_normal((n, dim))

@@ -65,8 +65,12 @@ def test_moments_round_trip(tmp_path):
     loaded = CP.load_checkpoint(path)
     assert loaded.moments is not None
     assert loaded.moments["step"] == ckpt.moments["step"]
-    for key, val in ckpt.moments["m"].items():
-        assert np.allclose(loaded.moments["m"][key], val)
+    keys = set(V.pack_state(ckpt.state))
+    for moment in ("m", "v"):
+        assert set(ckpt.moments[moment]) == keys
+        assert set(loaded.moments[moment]) == keys
+        for key, val in ckpt.moments[moment].items():
+            assert np.array_equal(loaded.moments[moment][key], val)
 
 
 def test_scalers_round_trip(tmp_path):
@@ -83,4 +87,14 @@ def test_version_check(tmp_path):
     arrays["checkpoint_version"] = np.asarray(42)
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match="version"):
+        CP.load_checkpoint(path)
+
+
+def test_gaussian_checkpoint_without_noise_is_rejected(tmp_path):
+    path, _, _ = make_checkpoint(tmp_path, with_moments=False)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["state_log_noise"] = np.asarray(np.nan)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="noise"):
         CP.load_checkpoint(path)

@@ -304,6 +304,30 @@ class TestGradcheckCommand:
         assert "FAIL" in out.out
 
 
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--checkpoint", "c.npz", "--data", "d.csv", "--out", "o"],
+            ["eigvals", "--kernel", "poly", "--dim", "3", "--max-frequency", "2", "--out", "o"],
+        ],
+        ids=["eval", "eigvals"],
+    )
+    def test_seed_is_rejected_where_unused(self, argv, capsys):
+        cli.build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv + ["--seed", "1"])
+        assert "--seed" in capsys.readouterr().err
+
+    def test_gradcheck_keeps_seed_and_parallel(self):
+        args = cli.build_parser().parse_args(["gradcheck", "--parallel"])
+        assert args.deterministic is False
+        assert args.seed == 0
+        args = cli.build_parser().parse_args(["gradcheck", "--seed", "4"])
+        assert args.deterministic is True
+        assert args.seed == 4
+
+
 class TestShippedConfig:
     def test_shipped_synthetic_config_trains(self, tmp_path, monkeypatch):
         from pathlib import Path

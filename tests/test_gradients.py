@@ -86,7 +86,7 @@ def test_beta_gradient_changes_sign_across_truth():
         state.cov_params = V.cov_params_from_factor(np.linalg.cholesky(s_star))
         state.log_beta = float(np.log(beta))
         _, grads = V.elbo_gradients(model_b, state, X, y, lik, 200)
-        return grads.log_beta
+        return grads["log_beta"]
 
     assert envelope_gradient(0.8) > 0
     assert envelope_gradient(5.0) < 0

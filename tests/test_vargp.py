@@ -36,28 +36,14 @@ class TestKuf:
     def test_constant_entry_is_one(self, full_model):
         rng = np.random.default_rng(0)
         X = random_sphere(rng, 7, 3)
-        F = V.kuf(full_model, X)
+        F = H.features(full_model.basis, X)
         assert np.all(F[:, 0] == 1.0)
 
-    def test_equals_basis_features(self, full_model):
-        rng = np.random.default_rng(1)
-        X = random_sphere(rng, 5, 3)
-        assert np.array_equal(V.kuf(full_model, X), H.features(full_model.basis, X))
-
-    def test_independent_of_eigenvalues(self, full_model):
-        # same basis under a different spectrum gives identical covariances
-        other = V.InducingModel(
-            basis=full_model.basis, spectrum=K.poly_decay_spectrum(3.0, 3, 4)
-        )
-        rng = np.random.default_rng(2)
-        X = random_sphere(rng, 4, 3)
-        assert np.array_equal(V.kuf(full_model, X), V.kuf(other, X))
-
     def test_mercer_identity(self, full_model):
-        # full sets: kuf' diag(lambda) kuf = k(x, x) / variance
+        # full sets: phi' diag(lambda) phi = k(x, x) / variance
         rng = np.random.default_rng(3)
         x = random_sphere(rng, 1, 3)[0]
-        f = V.kuf(full_model, x)
+        f = H.features(full_model.basis, x)
         spec = full_model.spectrum
         lam = spec.eigenvalues[full_model.feature_frequencies]
         lhs = float(np.sum(lam * f * f))
