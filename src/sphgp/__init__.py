@@ -1,27 +1,3 @@
 """Sparse variational GPs on the sphere with spherical-harmonic inducing features."""
 
 __version__ = "0.1.0"
-
-_LAZY = {
-    "backend": ".backend",
-    "special_math": ".special_math",
-    "harmonics": ".harmonics",
-    "kernels": ".kernels",
-    "vargp": ".vargp",
-    "data_io": ".data_io",
-    "checkpoint": ".checkpoint",
-    "config": ".config",
-    "synthetic": ".synthetic",
-}
-
-
-def __getattr__(name):
-    # keep `import sphgp` light so the CLI can pin threading env vars
-    # before numpy is pulled in
-    if name in _LAZY:
-        import importlib
-
-        module = importlib.import_module(_LAZY[name], __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

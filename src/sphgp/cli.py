@@ -55,9 +55,7 @@ def _build_spectrum(kind, dim, max_frequency, beta0, depth, lambda0, variance0, 
             beta0, dim, max_frequency, lambda0=lambda0, variance=variance0
         )
     shape = (
-        K.compose_shape(K.ReluShape(), depth)
-        if kind == "composed_relu"
-        else K.ntk_relu_shape(depth)
+        K.ComposedShape(K.ReluShape(), depth) if kind == "composed_relu" else K.NtkShape(depth)
     )
     return K.funk_hecke_spectrum(
         shape, dim, max_frequency, quad_order=quad_order or None, variance=variance0
@@ -220,12 +218,14 @@ def _fmt_cell(value):
 # ---------------------------------------------------------------------------
 
 def _parse_kernel_arg(text: str):
+    from .config import KERNEL_KINDS
+
     name, _, rest = text.partition(":")
     name = name.strip()
     aliases = {"poly": "poly_decay", "relu": "composed_relu"}
     name = aliases.get(name, name)
-    if name not in ("poly_decay", "composed_relu", "ntk"):
-        raise ValueError(f"unknown kernel {name!r} (use poly_decay|composed_relu|ntk)")
+    if name not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel {name!r} (use {'|'.join(KERNEL_KINDS)})")
     params = {}
     if rest:
         for piece in rest.split(","):
@@ -274,7 +274,7 @@ def cmd_gradcheck(args) -> int:
     spectrum = K.poly_decay_spectrum(1.3, dim, lmax, variance=1.1)
     model = V.build_inducing_model(spectrum, phase_limit=2, seed=args.seed)
     likelihood = V.GaussianLikelihood(noise_variance=0.1)
-    state = V.init_state(model, likelihood, seed=args.seed)
+    state = V.init_state(model, likelihood)
     m = model.num_features
     state.mean = 0.3 * rng.standard_normal(m)
     L = np.tril(0.1 * rng.standard_normal((m, m)))

@@ -51,6 +51,8 @@ class RunConfig:
             raise ConfigError(f"beta0 must be > 0, got {self.beta0}")
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
+        if not self.lambda0 > 0:
+            raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
         if not self.variance0 > 0 or not self.noise0 > 0:
             raise ConfigError("variance0 and noise0 must be positive")
         if self.link not in ("probit", "logit"):
@@ -65,6 +67,12 @@ class RunConfig:
             raise ConfigError("test_fraction must be in (0, 1)")
         if self.iterations < 0 or self.batch_size < 1 or self.log_every < 1:
             raise ConfigError("invalid optimizer settings")
+        if self.quad_order < 0:
+            raise ConfigError(f"quad_order must be >= 0, got {self.quad_order}")
+        if not 0.0 <= self.max_bad_fraction <= 1.0:
+            raise ConfigError(
+                f"max_bad_fraction must be in [0, 1], got {self.max_bad_fraction}"
+            )
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -2,20 +2,16 @@
 
 Raw rows are standardized per column (statistics fit on the training split
 only), extended with a constant bias coordinate, and divided by their norm,
-which lands every input on the unit sphere in one extra dimension. The
-pre-projection norm is kept alongside each point.
+which lands every input on the unit sphere in one extra dimension.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .harmonics import SpherePoint
 
 
 class DataError(ValueError):
@@ -87,12 +83,6 @@ class Dataset:
     @property
     def num_rows(self) -> int:
         return self.inputs.shape[0]
-
-    def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.inputs).tobytes())
-        digest.update(np.ascontiguousarray(self.targets).tobytes())
-        return digest.hexdigest()
 
 
 def _parse_value(text: str) -> float:
@@ -170,9 +160,6 @@ class Scaler:
     def transform(self, x):
         return (x - self.mean) / self.std
 
-    def invert(self, x):
-        return x * self.std + self.mean
-
 
 def fit_scaler(values: np.ndarray) -> Scaler:
     mean = np.mean(values, axis=0)
@@ -236,16 +223,12 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
 
 @dataclass(frozen=True)
 class SphereBatch:
-    """Row-stacked unit vectors plus their pre-projection norms."""
+    """Row-stacked unit vectors."""
 
     coords: np.ndarray  # (N, d)
-    norms: np.ndarray  # (N,)
 
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    def __getitem__(self, i) -> SpherePoint:
-        return SpherePoint(coords=self.coords[i], stored_norm=float(self.norms[i]))
 
     @property
     def dim(self) -> int:
@@ -266,7 +249,7 @@ def project_to_sphere(inputs, bias: float) -> SphereBatch:
     X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     ext = np.concatenate([X, np.full((X.shape[0], 1), float(bias))], axis=1)
     norms = np.linalg.norm(ext, axis=1)
-    return SphereBatch(coords=ext / norms[:, None], norms=norms)
+    return SphereBatch(coords=ext / norms[:, None])
 
 
 def minibatches(n: int, batch_size: int, epoch_seed: int):

@@ -28,29 +28,9 @@ from .special_math import (
 
 log = logging.getLogger(__name__)
 
-UNIT_NORM_TOL = 1e-12
 COND_LIMIT = 1e8
+MAX_RESTARTS = 4
 JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """Unit vector plus the norm its pre-projection input had."""
-
-    coords: np.ndarray
-    stored_norm: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=np.float64))
-        n = float(np.linalg.norm(self.coords))
-        if abs(n - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"coords must have unit norm, got {n!r}")
-        if not self.stored_norm > 0:
-            raise ValueError("stored_norm must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
 
 
 def alpha_for_dim(dim: int) -> float:
@@ -161,19 +141,12 @@ def _repel_directions(V: np.ndarray, ell: int, dim: int, iters: int) -> np.ndarr
     return V
 
 
-def build_fundamental_set(
-    ell: int,
-    dim: int,
-    num_phases: int,
-    seed: int = 0,
-    max_restarts: int = 4,
-    cond_limit: float = COND_LIMIT,
-) -> FundamentalSet:
+def build_fundamental_set(ell: int, dim: int, num_phases: int, seed: int = 0) -> FundamentalSet:
     """Pick ``num_phases`` well-separated directions for frequency ``ell``.
 
     Starts from a seeded random draw, runs the repulsion above, and accepts
     the candidate only if the Gram Cholesky succeeds with condition number
-    below ``cond_limit``. Retries with fresh seeds a bounded number of times.
+    below ``COND_LIMIT``. Retries with fresh seeds up to ``MAX_RESTARTS`` times.
     """
     if ell < 1:
         raise ValueError("frequency must be >= 1 (0 is the constant feature)")
@@ -183,7 +156,7 @@ def build_fundamental_set(
             f"num_phases must be in [1, N({ell},{dim})={full}], got {num_phases}"
         )
     best_cond = np.inf
-    for attempt in range(max_restarts):
+    for attempt in range(MAX_RESTARTS):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=(seed, dim, ell, num_phases, attempt))
         )
@@ -199,7 +172,7 @@ def build_fundamental_set(
             best_cond = min(best_cond, cond)
             scored.append((cond, cand, gram))
         cond, cand, gram = min(scored, key=lambda s: s[0])
-        if cond < cond_limit:
+        if cond < COND_LIMIT:
             try:
                 chol = np.linalg.cholesky(gram)
             except np.linalg.LinAlgError:
@@ -209,32 +182,33 @@ def build_fundamental_set(
             )
     raise RuntimeError(
         f"could not build a fundamental set for ell={ell}, d={dim}, m={num_phases} "
-        f"after {max_restarts} restarts; best condition number {best_cond:.3e}"
+        f"after {MAX_RESTARTS} restarts; best condition number {best_cond:.3e}"
     )
 
 
-def reorthogonalize(fset: FundamentalSet) -> FundamentalSet:
-    """Re-normalize possibly perturbed directions and refresh the Cholesky.
+def _fundamental_set(ell: int, V: np.ndarray, dim: int) -> FundamentalSet:
+    """The set for unit directions ``V``: Gram, jittered Cholesky, condition number.
 
     If the Gram factorization fails the smallest jitter from a fixed ladder
-    (relative to trace/m) is added and recorded on the returned set.
+    (relative to trace/m) is added, logged and recorded on the returned set.
     """
-    V = fset.directions / np.linalg.norm(fset.directions, axis=1, keepdims=True)
-    gram = fundamental_gram(V, fset.frequency, fset.dim)
+    gram = fundamental_gram(V, ell, dim)
     chol, jitter = _chol_with_jitter(gram)
     if jitter > 0:
-        log.warning(
-            "frequency %d: Gram needed jitter %.3e during re-orthogonalization",
-            fset.frequency,
-            jitter,
-        )
+        log.warning("frequency %d: Gram needed jitter %.3e", ell, jitter)
     return FundamentalSet(
-        frequency=fset.frequency,
+        frequency=ell,
         directions=V,
         gram_chol=chol,
         cond=_condition_number(gram),
         jitter=jitter,
     )
+
+
+def reorthogonalize(fset: FundamentalSet) -> FundamentalSet:
+    """Re-normalize possibly perturbed directions and refresh the Cholesky."""
+    V = fset.directions / np.linalg.norm(fset.directions, axis=1, keepdims=True)
+    return _fundamental_set(fset.frequency, V, fset.dim)
 
 
 @dataclass(frozen=True)
@@ -289,29 +263,21 @@ class HarmonicBasis:
 
 
 def build_basis(
-    dim: int,
-    max_frequency: int,
-    phase_limit: int | None = None,
-    seed: int = 0,
-    counts: dict[int, int] | None = None,
+    dim: int, max_frequency: int, seed: int = 0, counts: dict[int, int] | None = None
 ) -> HarmonicBasis:
     """Build a basis for frequencies 0..max_frequency.
 
-    ``phase_limit`` caps the per-frequency phase count (None keeps every
-    frequency full); ``counts`` overrides the count per frequency and may
-    assign 0 to skip a frequency entirely.
+    ``counts`` sets the phase count per frequency and may assign 0 to skip a
+    frequency entirely; a frequency it does not name gets a full set.
     """
     if max_frequency < 0:
         raise ValueError("max_frequency must be >= 0")
     sets = []
     for ell in range(1, max_frequency + 1):
-        full = num_harmonics(ell, dim)
         if counts is not None and ell in counts:
             m = counts[ell]
-        elif phase_limit is not None:
-            m = min(phase_limit, full)
         else:
-            m = full
+            m = num_harmonics(ell, dim)
         if m == 0:
             continue
         sets.append(build_fundamental_set(ell, dim, m, seed=seed))
@@ -319,13 +285,9 @@ def build_basis(
 
 
 def _as_matrix(x, dim: int):
-    if isinstance(x, SpherePoint):
-        coords = x.coords[None, :]
-        single = True
-    else:
-        coords = np.asarray(x, dtype=np.float64)
-        single = coords.ndim == 1
-        coords = np.atleast_2d(coords)
+    coords = np.asarray(x, dtype=np.float64)
+    single = coords.ndim == 1
+    coords = np.atleast_2d(coords)
     if coords.shape[1] != dim:
         raise ValueError(f"points have dimension {coords.shape[1]}, basis expects {dim}")
     return coords, single
@@ -355,26 +317,6 @@ def features(basis: HarmonicBasis, x, overrides: dict | None = None) -> np.ndarr
         raw = addition_scale(ell, basis.dim) * backend.gegenbauer_last(alpha, ell, t)
         out[:, cols] = solve_triangular(L, raw.T, lower=True, check_finite=False).T
     return out[0] if single else out
-
-
-def monte_carlo_gram(
-    basis: HarmonicBasis, n_samples: int, seed: int = 0, chunk: int = 65536
-) -> np.ndarray:
-    """Empirical E[phi(x) phi(x)^T] under uniform x; test/verification aid."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    m = basis.num_features
-    acc = np.zeros((m, m))
-    done = 0
-    while done < n_samples:
-        n = min(chunk, n_samples - done)
-        X = rng.standard_normal((n, basis.dim))
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-        F = features(basis, X)
-        acc += F.T @ F
-        done += n
-    return acc / n_samples
 
 
 # --- flat array serialization (used by the model checkpoint) ---------------
@@ -408,15 +350,5 @@ def basis_from_arrays(arrays) -> HarmonicBasis:
     for ell in np.asarray(arrays["basis_frequencies"], dtype=np.int64):
         ell = int(ell)
         V = np.asarray(arrays[f"basis_V_{ell}"], dtype=np.float64)
-        gram = fundamental_gram(V, ell, dim)
-        chol, jitter = _chol_with_jitter(gram)
-        sets.append(
-            FundamentalSet(
-                frequency=ell,
-                directions=V,
-                gram_chol=chol,
-                cond=_condition_number(gram),
-                jitter=jitter,
-            )
-        )
+        sets.append(_fundamental_set(ell, V, dim))
     return HarmonicBasis(dim=dim, max_frequency=max_frequency, sets=tuple(sets))

@@ -15,7 +15,6 @@ kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,27 +36,19 @@ EIG_CLAMP = 1e-10  # quadrature results in [-EIG_CLAMP, 0] clamp to 0; below abo
 # shape functions
 # ---------------------------------------------------------------------------
 
-def _clamped(t):
-    return clamp_inner_product(t)
-
-
 class ReluShape:
     """Angular factor of the first-order arc-cosine kernel, scaled to 1 at t=1."""
 
     name = "relu_arccos"
 
     def __call__(self, t):
-        t = _clamped(t)
+        t = clamp_inner_product(t)
         return (t * (np.pi - np.arccos(t)) + np.sqrt(np.maximum(0.0, 1.0 - t * t))) / np.pi
-
-
-def relu_shape(t):
-    return ReluShape()(t)
 
 
 def relu_derivative_shape(t):
     """d/dt of the relu shape: (pi - arccos t) / pi (the order-0 arc-cosine shape)."""
-    t = _clamped(t)
+    t = clamp_inner_product(t)
     return (np.pi - np.arccos(t)) / np.pi
 
 
@@ -78,10 +69,6 @@ class ComposedShape:
         return v
 
 
-def compose_shape(base, depth: int) -> ComposedShape:
-    return ComposedShape(base, depth)
-
-
 class NtkShape:
     """Depth-L tangent-kernel shape for ReLU networks, scaled to 1 at t=1.
 
@@ -100,36 +87,13 @@ class NtkShape:
         self._relu = ReluShape()
 
     def __call__(self, t):
-        s = np.asarray(_clamped(t), dtype=np.float64)
+        s = np.asarray(clamp_inner_product(t), dtype=np.float64)
         theta = s.copy()
         for _ in range(self.depth):
             kd = relu_derivative_shape(s)
             s = self._relu(s)
             theta = s + theta * kd
         return theta / (self.depth + 1.0)
-
-
-def ntk_relu_shape(depth: int) -> NtkShape:
-    return NtkShape(depth)
-
-
-class TabulatedShape:
-    """Shape given by linear interpolation of sampled values on [-1, 1]."""
-
-    name = "tabulated"
-
-    def __init__(self, grid: np.ndarray, values: np.ndarray):
-        grid = np.asarray(grid, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValueError("grid and values must be matching 1-D arrays")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        self.grid = grid
-        self.values = values
-
-    def __call__(self, t):
-        return np.interp(_clamped(t), self.grid, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +259,7 @@ def _expansion_coeffs(spec: Spectrum) -> np.ndarray:
 
 
 def _coords(x, dim):
-    coords = x.coords if hasattr(x, "coords") else np.asarray(x, dtype=np.float64)
+    coords = np.asarray(x, dtype=np.float64)
     if coords.shape[-1] != dim:
         raise ValueError(f"point dimension {coords.shape[-1]} != spectrum dimension {dim}")
     return coords
@@ -309,14 +273,6 @@ def mercer_gram(spec: Spectrum, X, Y=None) -> np.ndarray:
     return backend.zonal_sum(_expansion_coeffs(spec), spec.alpha, t)
 
 
-def mercer_eval(spec: Spectrum, x, y) -> float:
-    """Kernel value between two points on the sphere."""
-    cx = _coords(x, spec.dim)
-    cy = _coords(y, spec.dim)
-    t = float(np.clip(np.dot(cx, cy), -1.0, 1.0))
-    return float(backend.zonal_sum(_expansion_coeffs(spec), spec.alpha, np.array([t]))[0])
-
-
 def mercer_diag_value(spec: Spectrum) -> float:
     """k(x, x), identical for every unit vector x: variance * sum_l N(l,d) lambda_l."""
     counts = np.array(
@@ -324,18 +280,6 @@ def mercer_diag_value(spec: Spectrum) -> float:
         dtype=np.float64,
     )
     return float(spec.variance * np.dot(counts, spec.eigenvalues))
-
-
-def zonal_from_spectrum(spec: Spectrum):
-    """The unit-variance shape sum_l ((l+alpha)/alpha) lambda_l C_l(t) as a callable."""
-    coeffs = _expansion_coeffs(spec) / spec.variance
-    alpha = spec.alpha
-
-    def shape(t):
-        return backend.zonal_sum(coeffs, alpha, np.clip(t, -1.0, 1.0))
-
-    shape.name = f"mercer({spec.source})"
-    return shape
 
 
 def export_spectrum(spec: Spectrum, path) -> None:

@@ -23,20 +23,6 @@ T_CLAMP = 1e-12  # tolerated overshoot of |t| beyond 1 before it is an error
 
 
 @dataclass(frozen=True)
-class GegenbauerParams:
-    """Order parameter alpha = (d-2)/2 and polynomial degree."""
-
-    alpha: float
-    degree: int
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0 (needs dimension >= 3), got {self.alpha}")
-        if self.degree < 0 or self.degree != int(self.degree):
-            raise ValueError(f"degree must be a non-negative integer, got {self.degree}")
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre nodes/weights on [-1, 1], exact through degree 2n-1."""
 
@@ -54,9 +40,6 @@ class QuadratureRule:
         if abs(float(np.sum(self.weights)) - 2.0) > 1e-12:
             raise ValueError("weights must sum to 2 on [-1, 1]")
 
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
-
 
 def clamp_inner_product(t, tol: float = T_CLAMP):
     """Clip t into [-1, 1], rejecting overshoots larger than tol."""
@@ -65,16 +48,6 @@ def clamp_inner_product(t, tol: float = T_CLAMP):
     if overshoot > tol:
         raise ValueError(f"inner product outside [-1, 1] by {overshoot:.3e}")
     return np.clip(t, -1.0, 1.0)
-
-
-def gegenbauer(params: GegenbauerParams, t):
-    """Evaluate C_l^{(alpha)}(t) by the upward three-term recurrence.
-
-    Stable in float64 for degrees up to ~100, far beyond any frequency
-    truncation used in this package.
-    """
-    t = clamp_inner_product(t)
-    return backend.gegenbauer_last(params.alpha, params.degree, t)
 
 
 def gegenbauer_table(alpha: float, lmax: int, t) -> np.ndarray:

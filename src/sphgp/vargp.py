@@ -255,9 +255,7 @@ def _diag_positions(m: int) -> np.ndarray:
     return np.cumsum(np.arange(1, m + 1)) - 1
 
 
-def init_state(
-    model: InducingModel, likelihood, seed: int = 0
-) -> VariationalState:
+def init_state(model: InducingModel, likelihood) -> VariationalState:
     """Prior-matched start: m = 0 and S equal to the diagonal prior."""
     lam = _lambda_per_feature(model, model.spectrum)
     m = model.num_features
@@ -333,12 +331,6 @@ def _lambda_per_feature(model: InducingModel, spectrum: K.Spectrum) -> np.ndarra
         bad = model.feature_frequencies[lam <= 0]
         raise ValueError(f"populated frequencies {sorted(set(bad.tolist()))} have zero eigenvalue")
     return lam
-
-
-def kuu_diag(model: InducingModel, spectrum: K.Spectrum | None = None) -> np.ndarray:
-    """Diagonal of the inducing prior covariance: 1 / (variance * lambda_l)."""
-    spectrum = model.spectrum if spectrum is None else spectrum
-    return 1.0 / _lambda_per_feature(model, spectrum)
 
 
 def _phase_gram(V: np.ndarray, ell: int, dim: int) -> np.ndarray:
@@ -453,14 +445,6 @@ def predict(model, state, X, full_cov: bool = False):
         mu[block] = rows.mu
         v[block] = rows.v
     return mu, _clamp_variances(v)
-
-
-def kl_term(model, state) -> float:
-    """KL divergence from q(u) to the diagonal prior N(0, diag(1/lam))."""
-    spec = _effective_spectrum(model, state)
-    lam = _lambda_per_feature(model, spec)
-    L = state.cov_factor()
-    return _kl_from_parts(lam, state.mean, L)
 
 
 def _kl_from_parts(lam, mean, L) -> float:
@@ -630,7 +614,6 @@ class FitConfig:
     lr_hyper: float = 1e-3
     seed: int = 0
     log_every: int = 1
-    beta_bounds: tuple[float, float] = BETA_BOUNDS
 
 
 @dataclass
@@ -659,7 +642,7 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
         raise ValueError("inputs and targets disagree in length")
     n_total = X.shape[0]
     if state is None:
-        state = init_state(model, likelihood, seed=config.seed)
+        state = init_state(model, likelihood)
     else:
         state = state.copy()
 
@@ -672,7 +655,7 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
     step = 0
     epoch = 0
     batch_iter = iter(())
-    log_beta_lo, log_beta_hi = np.log(config.beta_bounds[0]), np.log(config.beta_bounds[1])
+    log_beta_lo, log_beta_hi = np.log(BETA_BOUNDS[0]), np.log(BETA_BOUNDS[1])
 
     for it in range(config.iterations):
         try:
@@ -777,12 +760,6 @@ def heldout_metrics(y, mu, v, likelihood, noise_variance=None, target_scaler=Non
     p = np.clip(class_probability(mu, v, likelihood), 1e-12, 1.0 - 1e-12)
     nll = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
     return {"auc": auc_score(y, p), "mean_nll": nll}
-
-
-def predictive_probability(model, state, X, likelihood) -> np.ndarray:
-    """p(y = 1 | x) under the Gaussian posterior over the latent function."""
-    mu, v = predict(model, state, X)
-    return class_probability(mu, v, likelihood)
 
 
 def evaluate(model, state, X, y, likelihood, target_scaler=None) -> dict:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,16 @@ from sphgp import checkpoint as CP
 from sphgp import cli, synthetic
 from sphgp import data_io as D
 from sphgp import vargp as V
-from sphgp.config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
+from sphgp.config import (
+    ConfigError,
+    RunConfig,
+    config_hash,
+    load_config,
+    parse_config,
+    serialize_config,
+)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestConfig:
@@ -43,6 +53,20 @@ class TestConfig:
     def test_validation_beta(self):
         with pytest.raises(ConfigError, match="beta0"):
             parse_config("beta0 = -1.0\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "lambda0 = 0.0",
+            "lambda0 = -1.0",
+            "quad_order = -1",
+            "max_bad_fraction = -0.1",
+            "max_bad_fraction = 1.5",
+        ],
+    )
+    def test_bad_value_fails_at_config_time(self, line):
+        with pytest.raises(ConfigError, match=line.split(" = ")[0]):
+            parse_config(line + "\n")
 
     def test_hash_ignores_out_root(self):
         a = RunConfig(out_root="runs")
@@ -329,6 +353,11 @@ class TestParser:
 
 
 class TestShippedConfig:
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+    def test_loads_and_round_trips(self, name):
+        cfg = load_config(CONFIG_DIR / name)
+        assert parse_config(serialize_config(cfg)) == cfg
+
     def test_shipped_synthetic_config_trains(self, tmp_path, monkeypatch):
         from pathlib import Path
 

@@ -68,7 +68,8 @@ class TestLoadCsv:
         path = write(tmp_path, "a,b,y\n1.5,2.25,3\n4,5,6\n")
         first = D.load_csv(path, SCHEMA)
         second = D.load_csv(path, SCHEMA)
-        assert first.content_hash() == second.content_hash()
+        assert np.array_equal(first.inputs, second.inputs)
+        assert np.array_equal(first.targets, second.targets)
 
     def test_binary_targets_validated(self, tmp_path):
         schema = D.parse_schema("target=y\nfeatures=a,b\ntask=binary\n")
@@ -126,7 +127,8 @@ class TestSplit:
         ds = make_dataset(50)
         train, _ = D.split(ds, 0.2, seed=0)
         y = train.targets
-        back = train.target_scaler.invert(train.standardized_targets())
+        scaler = train.target_scaler
+        back = train.standardized_targets() * scaler.std + scaler.mean
         assert np.max(np.abs(back - y)) <= 1e-12
 
     def test_empty_split_rejected(self):
@@ -141,18 +143,11 @@ class TestProjection:
     def test_zero_row_becomes_pole(self):
         batch = D.project_to_sphere(np.zeros((1, 3)), bias=1.0)
         assert np.array_equal(batch.coords[0], [0, 0, 0, 1])
-        assert batch.norms[0] == 1.0
 
     def test_unit_norm_rows(self):
         rng = np.random.default_rng(0)
         batch = D.project_to_sphere(rng.standard_normal((50, 4)), bias=1.0)
         assert np.max(np.abs(np.linalg.norm(batch.coords, axis=1) - 1.0)) <= 1e-12
-
-    def test_stored_norm_scales_with_input(self):
-        x = np.array([[3.0, 4.0]])
-        one = D.project_to_sphere(x, bias=1.0)
-        two = D.project_to_sphere(2.0 * x, bias=2.0)
-        assert two.norms[0] == pytest.approx(2.0 * one.norms[0])
 
     def test_double_projection_guard(self):
         batch = D.project_to_sphere(np.ones((2, 3)), bias=1.0)
@@ -164,11 +159,6 @@ class TestProjection:
         batch = D.project_to_sphere(rng.standard_normal((5, 3)), bias=1.0)
         again = D.project_to_sphere(batch.coords, bias=1.0)
         assert not np.allclose(again.coords[:, :4], batch.coords)
-
-    def test_point_accessor(self):
-        batch = D.project_to_sphere(np.array([[3.0, 4.0]]), bias=1.0)
-        p = batch[0]
-        assert p.stored_norm == pytest.approx(np.sqrt(26.0))
 
     def test_invalid_bias(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ def make_problem(seed, likelihood):
     rng = np.random.default_rng(seed)
     spec = K.poly_decay_spectrum(1.8, 4, 3, variance=1.1)
     model = V.build_inducing_model(spec, phase_limit=2, seed=seed)
-    state = V.init_state(model, likelihood, seed=seed)
+    state = V.init_state(model, likelihood)
     m = model.num_features
     state.mean = 0.4 * rng.standard_normal(m)
     L = np.tril(0.1 * rng.standard_normal((m, m)))

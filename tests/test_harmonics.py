@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sphgp import harmonics as H
-from sphgp.special_math import GegenbauerParams, gegenbauer, gegenbauer_at_one, num_harmonics
+from sphgp.special_math import gegenbauer_at_one, gegenbauer_table, num_harmonics
 
 import oracles
 from conftest import random_sphere
@@ -10,7 +10,28 @@ from conftest import random_sphere
 
 def addition_rhs(ell, dim, t):
     alpha = (dim - 2) / 2.0
-    return H.addition_scale(ell, dim) * gegenbauer(GegenbauerParams(alpha, ell), t)
+    return H.addition_scale(ell, dim) * gegenbauer_table(alpha, ell, t)[ell]
+
+
+def limited_counts(dim, lmax, phase_limit):
+    """Per-frequency phase counts capped at ``phase_limit``."""
+    return {ell: min(phase_limit, num_harmonics(ell, dim)) for ell in range(1, lmax + 1)}
+
+
+def monte_carlo_gram(basis, n_samples, seed=0, chunk=65536):
+    """Empirical E[phi(x) phi(x)^T] under uniform x on the sphere."""
+    rng = np.random.default_rng(seed)
+    m = basis.num_features
+    acc = np.zeros((m, m))
+    done = 0
+    while done < n_samples:
+        n = min(chunk, n_samples - done)
+        X = rng.standard_normal((n, basis.dim))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        F = H.features(basis, X)
+        acc += F.T @ F
+        done += n
+    return acc / n_samples
 
 
 class TestFundamentalSets:
@@ -143,38 +164,27 @@ class TestFeatures:
         with pytest.raises(ValueError):
             H.features(basis, np.ones(4) / 2.0)
 
-    def test_sphere_point_input(self):
-        basis = H.build_basis(3, 1, seed=0)
-        p = H.SpherePoint(coords=np.array([0.0, 0.0, 1.0]), stored_norm=2.5)
-        f = H.features(basis, p)
-        assert f.shape == (basis.num_features,)
-
 
 class TestMonteCarloGram:
     def test_constant_only(self):
         basis = H.HarmonicBasis(dim=3, max_frequency=0, sets=())
-        gram = H.monte_carlo_gram(basis, 100, seed=0)
+        gram = monte_carlo_gram(basis, 100, seed=0)
         assert gram == pytest.approx(np.ones((1, 1)))
 
     def test_full_first_frequency_identity(self):
         basis = H.build_basis(3, 1, seed=0)
-        gram = H.monte_carlo_gram(basis, 1_000_000, seed=1)
+        gram = monte_carlo_gram(basis, 1_000_000, seed=1)
         assert np.max(np.abs(gram - np.eye(basis.num_features))) <= 5e-3
 
     def test_truncated_sets_still_orthonormal(self):
-        basis = H.build_basis(4, 3, phase_limit=4, seed=0)
-        gram = H.monte_carlo_gram(basis, 400_000, seed=2)
+        basis = H.build_basis(4, 3, seed=0, counts=limited_counts(4, 3, 4))
+        gram = monte_carlo_gram(basis, 400_000, seed=2)
         assert np.max(np.abs(gram - np.eye(basis.num_features))) <= 5.0 / np.sqrt(400_000) * 3
-
-    def test_invalid_sample_count(self):
-        basis = H.build_basis(3, 1, seed=0)
-        with pytest.raises(ValueError):
-            H.monte_carlo_gram(basis, 0)
 
 
 class TestBasisStructure:
     def test_counts_and_frequencies(self):
-        basis = H.build_basis(4, 3, phase_limit=5, seed=0)
+        basis = H.build_basis(4, 3, seed=0, counts=limited_counts(4, 3, 5))
         assert basis.num_features == 1 + sum(
             min(5, num_harmonics(ell, 4)) for ell in (1, 2, 3)
         )
@@ -192,7 +202,7 @@ class TestBasisStructure:
             H.HarmonicBasis(dim=3, max_frequency=1, sets=(fs, fs))
 
     def test_serialization_round_trip(self):
-        basis = H.build_basis(4, 3, phase_limit=4, seed=0)
+        basis = H.build_basis(4, 3, seed=0, counts=limited_counts(4, 3, 4))
         arrays = H.basis_to_arrays(basis)
         rebuilt = H.basis_from_arrays(arrays)
         rng = np.random.default_rng(3)
@@ -206,11 +216,11 @@ class TestBasisStructure:
         with pytest.raises(ValueError):
             H.basis_from_arrays(arrays)
 
-
-class TestSpherePoint:
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            H.SpherePoint(coords=np.array([1.0, 1.0]))
-
-    def test_norm_tolerance(self):
-        H.SpherePoint(coords=np.array([1.0 + 5e-13, 0.0, 0.0]))
+    def test_loading_duplicate_directions_takes_jitter(self, caplog):
+        basis = H.build_basis(3, 1, seed=0, counts={1: 2})
+        arrays = H.basis_to_arrays(basis)
+        arrays["basis_V_1"] = np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]])
+        with caplog.at_level("WARNING"):
+            loaded = H.basis_from_arrays(arrays)
+        assert loaded.set_for(1).jitter > 0
+        assert any("jitter" in rec.message for rec in caplog.records)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_gegenbauer
 
 from sphgp import harmonics as H
 from sphgp import kernels as K
@@ -18,81 +19,69 @@ def relu_oracle(t):
 
 class TestReluShape:
     def test_anchor_values(self):
-        assert K.relu_shape(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert K.relu_shape(-1.0) == pytest.approx(0.0, abs=1e-12)
-        assert K.relu_shape(0.0) == pytest.approx(1.0 / math.pi, abs=1e-12)
+        assert K.ReluShape()(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert K.ReluShape()(-1.0) == pytest.approx(0.0, abs=1e-12)
+        assert K.ReluShape()(0.0) == pytest.approx(1.0 / math.pi, abs=1e-12)
 
     def test_matches_independent_formula(self):
         for t in np.linspace(-0.999, 0.999, 17):
-            assert K.relu_shape(t) == pytest.approx(relu_oracle(t), abs=1e-14)
+            assert K.ReluShape()(t) == pytest.approx(relu_oracle(t), abs=1e-14)
 
     def test_derivative_identity(self):
         t = np.linspace(-0.99, 0.99, 101)
         h = 1e-7
-        fd = (K.relu_shape(t + h) - K.relu_shape(t - h)) / (2 * h)
+        fd = (K.ReluShape()(t + h) - K.ReluShape()(t - h)) / (2 * h)
         assert np.allclose(K.relu_derivative_shape(t), fd, atol=1e-6)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            K.relu_shape(1.1)
+            K.ReluShape()(1.1)
 
 
 class TestComposition:
     def test_depth_one_is_base(self):
         base = K.ReluShape()
-        composed = K.compose_shape(base, 1)
+        composed = K.ComposedShape(base, 1)
         t = np.linspace(-1, 1, 9)
         assert np.array_equal(composed(t), base(t))
 
     def test_two_fold_at_zero(self):
         # kappa(kappa(0)) evaluated with the independent scalar formula
         expected = relu_oracle(relu_oracle(0.0))
-        assert K.compose_shape(K.ReluShape(), 2)(0.0) == pytest.approx(expected, abs=1e-14)
+        assert K.ComposedShape(K.ReluShape(), 2)(0.0) == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("depth", range(1, 11))
     def test_normalization_survives_depth(self, depth):
-        assert K.compose_shape(K.ReluShape(), depth)(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert K.ComposedShape(K.ReluShape(), depth)(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_composition_is_associative(self):
         base = K.ReluShape()
         t = np.linspace(-1, 1, 101)
-        one_then_two = K.compose_shape(base, 2)(base(t))
-        two_then_one = base(K.compose_shape(base, 2)(t))
+        one_then_two = K.ComposedShape(base, 2)(base(t))
+        two_then_one = base(K.ComposedShape(base, 2)(t))
         assert np.max(np.abs(one_then_two - two_then_one)) <= 1e-14
-        nested = K.compose_shape(K.compose_shape(base, 2), 2)(t)
-        flat = K.compose_shape(base, 4)(t)
+        nested = K.ComposedShape(K.ComposedShape(base, 2), 2)(t)
+        flat = K.ComposedShape(base, 4)(t)
         assert np.max(np.abs(nested - flat)) <= 1e-14
 
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
-            K.compose_shape(K.ReluShape(), 0)
+            K.ComposedShape(K.ReluShape(), 0)
 
 
 class TestNtkShape:
     def test_depth_one_recursion_by_hand(self):
         t = np.linspace(-1, 1, 33)
-        expected = (K.relu_shape(t) + t * K.relu_derivative_shape(t)) / 2.0
-        assert np.max(np.abs(K.ntk_relu_shape(1)(t) - expected)) <= 1e-14
+        expected = (K.ReluShape()(t) + t * K.relu_derivative_shape(t)) / 2.0
+        assert np.max(np.abs(K.NtkShape(1)(t) - expected)) <= 1e-14
 
     @pytest.mark.parametrize("depth", [1, 2, 5, 8])
     def test_normalized_at_one(self, depth):
-        assert K.ntk_relu_shape(depth)(1.0) == pytest.approx(1.0, abs=1e-14)
+        assert K.NtkShape(depth)(1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_depth_three_at_minus_one(self):
-        value = float(K.ntk_relu_shape(3)(-1.0))
+        value = float(K.NtkShape(3)(-1.0))
         assert 0.0 <= value < 1.0
-
-
-class TestTabulatedShape:
-    def test_interpolates_samples(self):
-        grid = np.linspace(-1, 1, 501)
-        tab = K.TabulatedShape(grid, K.relu_shape(grid))
-        t = np.linspace(-1, 1, 97)
-        assert np.max(np.abs(tab(t) - K.relu_shape(t))) < 1e-5
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            K.TabulatedShape(np.array([0.0, 0.0, 1.0]), np.zeros(3))
 
 
 class TestFunkHeckeSpectrum:
@@ -125,7 +114,14 @@ class TestFunkHeckeSpectrum:
     def test_round_trip_through_expansion(self):
         for dim in (3, 5, 10):
             spec = K.poly_decay_spectrum(2.0, dim, 10)
-            shape = K.zonal_from_spectrum(spec)
+            alpha = (dim - 2) / 2.0
+            ells = np.arange(11)
+            coeffs = spec.eigenvalues * (ells + alpha) / alpha
+
+            def shape(t):
+                t = np.asarray(t, dtype=float)
+                return sum(c * eval_gegenbauer(ell, alpha, t) for ell, c in zip(ells, coeffs))
+
             recovered = K.funk_hecke_spectrum(shape, dim, 10)
             rel = np.abs(recovered.eigenvalues - spec.eigenvalues) / spec.eigenvalues
             assert np.max(rel) <= 1e-8
@@ -143,7 +139,7 @@ class TestFunkHeckeSpectrum:
             for ell in (5, 10):
                 ratios = []
                 for depth in (2, 3, 4, 5):
-                    spec = K.funk_hecke_spectrum(K.compose_shape(K.ReluShape(), depth), dim, 10)
+                    spec = K.funk_hecke_spectrum(K.ComposedShape(K.ReluShape(), depth), dim, 10)
                     ratios.append(spec.eigenvalues[ell] / spec.eigenvalues[1])
                 assert np.all(np.diff(ratios) > 0)
 
@@ -240,7 +236,7 @@ class TestMercer:
         for spec in (
             K.poly_decay_spectrum(1.0, 4, 8),
             K.funk_hecke_spectrum(K.ReluShape(), 4, 8),
-            K.funk_hecke_spectrum(K.ntk_relu_shape(3), 4, 8),
+            K.funk_hecke_spectrum(K.NtkShape(3), 4, 8),
         ):
             X = random_sphere(rng, 50, 4)
             gram = K.mercer_gram(spec, X)
@@ -254,12 +250,12 @@ class TestMercer:
         )
         assert K.mercer_diag_value(spec) == pytest.approx(expected, rel=1e-14)
         x = np.array([0.0, 0.0, 1.0])
-        assert K.mercer_eval(spec, x, x) == pytest.approx(expected, rel=1e-12)
+        assert K.mercer_gram(spec, x)[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         spec = K.poly_decay_spectrum(2.0, 3, 4)
         with pytest.raises(ValueError):
-            K.mercer_eval(spec, np.ones(4) / 2, np.ones(4) / 2)
+            K.mercer_gram(spec, np.ones(4) / 2)
 
 
 class TestExport:
@@ -274,14 +270,14 @@ class TestExport:
         assert float(lines[3].split(",")[1]) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_export_deterministic(self, tmp_path):
-        spec = K.funk_hecke_spectrum(K.compose_shape(K.ReluShape(), 2), 10, 10)
+        spec = K.funk_hecke_spectrum(K.ComposedShape(K.ReluShape(), 2), 10, 10)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         K.export_spectrum(spec, a)
         K.export_spectrum(spec, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_deep_kernel_high_frequency_suppression(self, tmp_path):
-        spec = K.funk_hecke_spectrum(K.compose_shape(K.ReluShape(), 2), 10, 10)
+        spec = K.funk_hecke_spectrum(K.ComposedShape(K.ReluShape(), 2), 10, 10)
         path = tmp_path / "deep.csv"
         K.export_spectrum(spec, path)
         last = path.read_text().splitlines()[-1]

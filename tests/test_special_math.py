@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphgp import backend
 from sphgp.special_math import (
-    GegenbauerParams,
     QuadratureRule,
     funk_hecke_constant,
     gauss_legendre,
-    gegenbauer,
     gegenbauer_at_one,
     gegenbauer_derivative,
     gegenbauer_table,
@@ -23,10 +22,10 @@ import oracles
 class TestGegenbauer:
     def test_degree_zero_is_one(self):
         for alpha in (0.5, 1.0, 3.5):
-            assert gegenbauer(GegenbauerParams(alpha, 0), 0.37) == 1.0
+            assert gegenbauer_table(alpha, 0, 0.37)[0] == 1.0
 
     def test_degree_one_closed_form(self):
-        assert gegenbauer(GegenbauerParams(1.0, 1), 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert gegenbauer_table(1.0, 1, 0.5)[1] == pytest.approx(1.0, abs=1e-15)
 
     def test_value_at_one_is_binomial(self):
         # C_l at t=1 equals binom(l + 2 alpha - 1, l); checked against the recurrence
@@ -34,17 +33,17 @@ class TestGegenbauer:
             alpha = (dim - 2) / 2.0
             for ell in range(31):
                 expected = math.comb(ell + dim - 3, ell)
-                got = gegenbauer(GegenbauerParams(alpha, ell), 1.0)
+                got = gegenbauer_table(alpha, ell, 1.0)[ell]
                 assert got == pytest.approx(expected, rel=1e-12)
                 assert gegenbauer_at_one(alpha, ell) == pytest.approx(expected, rel=1e-15)
 
     def test_example_degree_two(self):
-        assert gegenbauer(GegenbauerParams(1.0, 2), 1.0) == pytest.approx(3.0, rel=1e-14)
+        assert gegenbauer_table(1.0, 2, 1.0)[2] == pytest.approx(3.0, rel=1e-14)
 
     def test_matches_legendre_at_alpha_half(self):
         t = np.linspace(-1.0, 1.0, 1001)
         for ell in (0, 1, 2, 5, 10, 20):
-            ours = gegenbauer(GegenbauerParams(0.5, ell), t)
+            ours = gegenbauer_table(0.5, ell, t)[ell]
             ref = oracles.legendre_value(ell, t)
             assert np.max(np.abs(ours - ref)) <= 1e-12
 
@@ -56,32 +55,33 @@ class TestGegenbauer:
     @settings(max_examples=200, deadline=None)
     def test_bounded_by_value_at_one(self, ell, dim, t):
         alpha = (dim - 2) / 2.0
-        val = float(gegenbauer(GegenbauerParams(alpha, ell), t))
+        val = float(gegenbauer_table(alpha, ell, t)[ell])
         assert abs(val) <= gegenbauer_at_one(alpha, ell) * (1.0 + 1e-12)
 
     def test_derivative_matches_finite_differences(self):
         t = np.linspace(-0.9, 0.9, 11)
         h = 1e-6
         for alpha, ell in ((0.5, 3), (1.5, 5), (3.0, 7)):
-            p = GegenbauerParams(alpha, ell)
-            fd = (gegenbauer(p, t + h) - gegenbauer(p, t - h)) / (2.0 * h)
+            fd = (
+                gegenbauer_table(alpha, ell, t + h)[ell] - gegenbauer_table(alpha, ell, t - h)[ell]
+            ) / (2.0 * h)
             assert np.allclose(gegenbauer_derivative(alpha, ell, t), fd, rtol=1e-6, atol=1e-6)
 
     def test_table_agrees_with_single_degrees(self):
         t = np.linspace(-1.0, 1.0, 17)
         table = gegenbauer_table(1.0, 6, t)
         for ell in range(7):
-            assert np.array_equal(table[ell], gegenbauer(GegenbauerParams(1.0, ell), t))
+            assert np.array_equal(table[ell], backend.gegenbauer_last(1.0, ell, t))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            GegenbauerParams(0.0, 2)
+            gegenbauer_table(0.0, 2, 0.5)
         with pytest.raises(ValueError):
-            GegenbauerParams(-1.0, 2)
+            gegenbauer_table(-1.0, 2, 0.5)
         with pytest.raises(ValueError):
-            gegenbauer(GegenbauerParams(0.5, 2), 1.0 + 1e-9)
+            gegenbauer_table(0.5, 2, 1.0 + 1e-9)
         # overshoot within the clamp band is accepted
-        assert gegenbauer(GegenbauerParams(0.5, 2), 1.0 + 1e-13) == pytest.approx(1.0)
+        assert gegenbauer_table(0.5, 2, 1.0 + 1e-13)[2] == pytest.approx(1.0)
 
 
 class TestHarmonicCounts:
@@ -153,22 +153,23 @@ class TestGaussLegendre:
             c * (2.0 / (k + 1)) for k, c in enumerate(coeffs) if k % 2 == 0
         )
         rule = gauss_legendre(order)
-        approx = rule.integrate(lambda t: np.polynomial.polynomial.polyval(t, coeffs))
+        approx = np.sum(rule.weights * np.polynomial.polynomial.polyval(rule.nodes, coeffs))
         assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_exactness_boundary_at_sixteen_points(self):
         rule = gauss_legendre(16)
+        w, t = rule.weights, rule.nodes
         # degree 22 and degree 30 are inside the 2n-1 = 31 exactness range
-        assert rule.integrate(lambda t: t**20 * (1 - t * t)) == pytest.approx(
+        assert np.sum(w * (t**20 * (1 - t * t))) == pytest.approx(
             2.0 / 21 - 2.0 / 23, rel=1e-13
         )
-        assert rule.integrate(lambda t: t**30) == pytest.approx(2.0 / 31, rel=1e-13)
+        assert np.sum(w * t**30) == pytest.approx(2.0 / 31, rel=1e-13)
         # degree 32 breaks exactness: the error (~7e-10 relative, the
         # classical 2^(2n+1)(n!)^4/((2n+1)((2n)!)^3) f^(2n) term) sits far
         # above the roundoff floor of the exact cases
-        rel_32 = abs(rule.integrate(lambda t: t**32) - 2.0 / 33) / (2.0 / 33)
+        rel_32 = abs(np.sum(w * t**32) - 2.0 / 33) / (2.0 / 33)
         assert rel_32 > 1e-9
-        rel_40 = abs(rule.integrate(lambda t: t**40) - 2.0 / 41) / (2.0 / 41)
+        rel_40 = abs(np.sum(w * t**40) - 2.0 / 41) / (2.0 / 41)
         assert rel_40 > 1e-6
 
     def test_invariants(self):
