@@ -7,9 +7,13 @@ Deterministic mode (the default) pins the numeric libraries to one thread;
 ``--parallel`` lifts that and relaxes bit-reproducibility to
 tolerance-reproducibility.
 
-``eval`` scores every row once: one ``vargp.predict`` call gives the
-predictive mean and variance of all rows, and both ``metrics.json`` and
-``predictions.csv`` are derived from those arrays.
+``eval`` checks the schema's input dimension against the checkpoint before
+it reads the CSV, then scores every row once: one ``vargp.predict`` call
+gives the predictive mean and variance of all rows, and both
+``metrics.json`` and ``predictions.csv`` are derived from those arrays.
+``predictions.csv`` is written with one ``%``-format call per row: the index
+as ``%d`` and every value as ``%.10g``, which gives the same bytes as
+``format(x, ".10g")``.
 """
 
 from __future__ import annotations
@@ -154,8 +158,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
     from . import checkpoint as CP
     from . import data_io as D
     from . import vargp as V
@@ -170,14 +172,14 @@ def cmd_eval(args) -> int:
             f"checkpoint was trained for task {ckpt.task!r} but the data schema "
             f"declares {schema.task!r}"
         )
-    dataset = D.load_csv(_resolve_data_path(args.data), schema)
     expected_dim = ckpt.model.basis.dim
-    got_dim = dataset.inputs.shape[1] + 1
+    got_dim = len(schema.features) + 1
     if got_dim != expected_dim:
         raise D.DataError(
             f"data projects to dimension {got_dim} but the checkpoint expects "
             f"{expected_dim}"
         )
+    dataset = D.load_csv(_resolve_data_path(args.data), schema)
     X_std = ckpt.input_scaler.transform(dataset.inputs)
     sphere = D.project_to_sphere(X_std, ckpt.bias)
     out_dir = Path(args.out)
@@ -192,25 +194,20 @@ def cmd_eval(args) -> int:
         mu = mu * scaler_pair[1] + scaler_pair[0]
         var = var * scaler_pair[1] ** 2
         columns = ("index", "target", "pred_mean", "pred_var")
-        rows = zip(range(len(sphere)), dataset.targets, mu, var)
+        row_format = "%d,%.10g,%.10g,%.10g\n"
+        rows = zip(range(len(sphere)), dataset.targets.tolist(), mu.tolist(), var.tolist())
     else:
         metrics = V.heldout_metrics(dataset.targets, mu, var, ckpt.likelihood)
         prob = V.class_probability(mu, var, ckpt.likelihood)
         columns = ("index", "target", "prob")
-        rows = zip(range(len(sphere)), dataset.targets, prob)
+        row_format = "%d,%.10g,%.10g\n"
+        rows = zip(range(len(sphere)), dataset.targets.tolist(), prob.tolist())
     _write_json(out_dir / "metrics.json", metrics)
     with open(out_dir / "predictions.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
+        fh.writelines(row_format % row for row in rows)
     print(json.dumps({k: metrics[k] for k in sorted(metrics)}))
     return 0
-
-
-def _fmt_cell(value):
-    if isinstance(value, (int,)):
-        return str(value)
-    return f"{float(value):.10g}"
 
 
 # ---------------------------------------------------------------------------

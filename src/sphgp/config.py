@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 KERNEL_KINDS = ("poly_decay", "composed_relu", "ntk")
@@ -47,32 +48,33 @@ class RunConfig:
     def __post_init__(self):
         if self.kernel not in KERNEL_KINDS:
             raise ConfigError(f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}")
-        if not self.beta0 > 0:
-            raise ConfigError(f"beta0 must be > 0, got {self.beta0}")
+        for name in ("beta0", "lambda0", "variance0", "noise0", "bias"):
+            _require_positive(name, getattr(self, name))
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
-        if not self.lambda0 > 0:
-            raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
-        if not self.variance0 > 0 or not self.noise0 > 0:
-            raise ConfigError("variance0 and noise0 must be positive")
         if self.link not in ("probit", "logit"):
             raise ConfigError(f"link must be probit or logit, got {self.link!r}")
         if self.max_frequency < 0:
             raise ConfigError("max_frequency must be >= 0")
         if self.phase_limit is not None and self.phase_limit < 1:
             raise ConfigError("phase_limit must be >= 1 or 'full'")
-        if not self.bias > 0:
-            raise ConfigError("bias must be positive")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
         if self.iterations < 0 or self.batch_size < 1 or self.log_every < 1:
             raise ConfigError("invalid optimizer settings")
+        _require_positive("lr_variational", self.lr_variational)
+        _require_positive("lr_hyper", self.lr_hyper)
         if self.quad_order < 0:
             raise ConfigError(f"quad_order must be >= 0, got {self.quad_order}")
         if not 0.0 <= self.max_bad_fraction <= 1.0:
             raise ConfigError(
                 f"max_bad_fraction must be in [0, 1], got {self.max_bad_fraction}"
             )
+
+
+def _require_positive(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}

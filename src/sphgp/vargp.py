@@ -712,7 +712,12 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
 # ---------------------------------------------------------------------------
 
 def auc_score(labels, scores) -> float:
-    """Area under the ROC curve (rank statistic, ties averaged)."""
+    """Area under the ROC curve (rank statistic, ties averaged).
+
+    A group of ``c`` tied scores ending at 1-based rank ``e`` shares the rank
+    ``e - (c - 1) / 2``; these are exact half-integers, so the result equals
+    the one from ``scipy.stats.rankdata`` bit for bit. NaN scores give NaN.
+    """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
     pos = labels == 1
@@ -720,9 +725,10 @@ def auc_score(labels, scores) -> float:
     n_pos, n_neg = int(np.sum(pos)), int(np.sum(neg))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    from scipy.stats import rankdata
-
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        return float("nan")
+    _, inv, cnt = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(cnt) - 0.5 * (cnt - 1))[inv]
     return float((np.sum(ranks[pos]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

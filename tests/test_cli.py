@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,14 @@ class TestConfig:
             "quad_order = -1",
             "max_bad_fraction = -0.1",
             "max_bad_fraction = 1.5",
+            "lr_variational = -0.02",
+            "lr_variational = 0.0",
+            "lr_hyper = nan",
+            "beta0 = inf",
+            "variance0 = inf",
+            "noise0 = inf",
+            "lambda0 = inf",
+            "bias = inf",
         ],
     )
     def test_bad_value_fails_at_config_time(self, line):
@@ -267,6 +276,53 @@ class TestEval:
         assert rc == 1
         record = json.loads(captured.err.strip().splitlines()[-1])
         assert "6" in record["message"] and "4" in record["message"]
+
+    def test_dimension_mismatch_fails_before_reading_data(
+        self, regression_run, tmp_path, capsys
+    ):
+        _, _, run_dir = regression_run
+        (tmp_path / "wide.schema").write_text(synthetic.regression_schema(5))
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+            "--data", str(tmp_path / "absent.csv"),
+            "--schema", str(tmp_path / "wide.schema"),
+            "--out", str(tmp_path / "out"),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        record = json.loads(captured.err.strip().splitlines()[-1])
+        assert record["error"] == "DataError"
+        assert "dimension 6" in record["message"] and "expects 4" in record["message"]
+
+    def test_binary_train_and_eval_leave_scipy_stats_unimported(self, tmp_path):
+        import subprocess
+        import sys
+
+        synthetic.write_classification_csv(tmp_path / "cls.csv", 120, 3, seed=7)
+        (tmp_path / "cls.schema").write_text(synthetic.classification_schema(3))
+        cfg = RunConfig(
+            max_frequency=2, iterations=2, batch_size=50,
+            data_csv=str(tmp_path / "cls.csv"), schema=str(tmp_path / "cls.schema"),
+            out_root=str(tmp_path / "runs"),
+        )
+        (tmp_path / "run.cfg").write_text(serialize_config(cfg))
+        run_dir = tmp_path / "runs" / config_hash(cfg)
+        script = (
+            "import sys\n"
+            "from sphgp import cli\n"
+            f"assert cli.main(['train', '--config', {str(tmp_path / 'run.cfg')!r}]) == 0\n"
+            f"assert cli.main(['eval', '--checkpoint', {str(run_dir / 'checkpoint.npz')!r},"
+            f" '--data', {cfg.data_csv!r}, '--out', {str(tmp_path / 'eval')!r}]) == 0\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert "auc" in json.loads((run_dir / "metrics.json").read_text())
+        assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 class TestEigvals:

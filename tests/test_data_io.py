@@ -83,6 +83,95 @@ class TestLoadCsv:
         assert ds.num_rows == 1
 
 
+def per_row_load(path, schema):
+    """Reference parse: every cell through ``float``, one row at a time."""
+    import csv
+    import math
+
+    inputs, targets, dropped = [], [], 0
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        cols = [header.index(c) for c in schema.features] + [header.index(schema.target)]
+        for record in reader:
+            if not record:
+                continue
+            try:
+                if len(record) != len(header):
+                    raise ValueError("width")
+                values = [float(record[i]) for i in cols]
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError("non-finite")
+                if schema.task == "binary" and values[-1] not in (0.0, 1.0):
+                    raise ValueError("label")
+            except ValueError:
+                dropped += 1
+                continue
+            inputs.append(values[:-1])
+            targets.append(values[-1])
+    return np.array(inputs), np.array(targets), dropped
+
+
+CHUNK = D._CHUNK_ROWS
+BINARY = D.parse_schema("target=y\nfeatures=a,b\ntask=binary\n")
+
+
+class TestChunkedLoad:
+    """Bad rows at chunk edges reject exactly themselves, as a per-row parse does."""
+
+    N_ROWS = 2 * CHUNK + 37  # two full chunks, then a short one
+
+    def table(self, bad_row, bad_line):
+        rng = np.random.default_rng(bad_row)
+        lines = ["a,b,y"]
+        for i in range(self.N_ROWS):
+            if i == bad_row:
+                lines.append(bad_line)
+            else:
+                a, b = rng.standard_normal(2).tolist()
+                lines.append(f"{a!r},{b:.6f},{i % 2}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "bad_row", [CHUNK - 1, CHUNK, N_ROWS - 1], ids=["chunk-end", "chunk-start", "last-row"]
+    )
+    @pytest.mark.parametrize(
+        "bad_line, schema",
+        [
+            ("abc,1,0", SCHEMA),
+            ("1,,0", SCHEMA),
+            ("1,2,inf", SCHEMA),
+            ("1e400,2,1", SCHEMA),
+            ("1,2", SCHEMA),
+            ("1,2,3,4", SCHEMA),
+            ("1,2,2", BINARY),
+        ],
+        ids=["text", "empty", "inf", "overflow", "short-row", "long-row", "label-2"],
+    )
+    def test_bad_row_at_chunk_edge(self, tmp_path, bad_row, bad_line, schema):
+        path = write(tmp_path, self.table(bad_row, bad_line))
+        ds = D.load_csv(path, schema)
+        inputs, targets, dropped = per_row_load(path, schema)
+        assert ds.dropped_rows == dropped == 1
+        assert ds.num_rows == self.N_ROWS - 1
+        assert np.array_equal(ds.inputs, inputs)
+        assert np.array_equal(ds.targets, targets)
+
+    def test_chunk_of_unusable_rows_and_blank_lines(self, tmp_path):
+        lines = ["a,b,y"] + ["1,2"] * CHUNK + [""] * 10 + ["3,4,5"] * 50
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        ds = D.load_csv(path, SCHEMA, max_bad_fraction=1.0)
+        assert ds.dropped_rows == CHUNK and ds.num_rows == 50
+        assert np.array_equal(ds.targets, np.full(50, 5.0))
+
+    def test_quoted_field_with_comma(self, tmp_path):
+        path = write(tmp_path, 'a,name,b,y\n1,"x, y",2,3\n"4","p, q","5.5",6\n')
+        ds = D.load_csv(path, SCHEMA)
+        assert ds.dropped_rows == 0
+        assert np.array_equal(ds.inputs, [[1, 2], [4, 5.5]])
+        assert np.array_equal(ds.targets, [3, 6])
+
+
 def make_dataset(n=40, seed=0):
     rng = np.random.default_rng(seed)
     return D.Dataset(

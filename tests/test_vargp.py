@@ -365,6 +365,40 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             V.auc_score(np.ones(5), np.arange(5.0))
 
+    @pytest.mark.parametrize(
+        "labels, scores",
+        [
+            pytest.param(
+                np.random.default_rng(26).integers(0, 2, 2000),
+                np.random.default_rng(27).integers(0, 7, 2000) / 7.0,
+                id="heavy-ties",
+            ),
+            pytest.param(np.repeat([0, 1], [7, 5]), np.full(12, 0.25), id="all-equal"),
+            pytest.param(
+                np.eye(1, 50, 17, dtype=int)[0],
+                np.random.default_rng(28).standard_normal(50),
+                id="one-positive",
+            ),
+            pytest.param(
+                np.array([0, 0, 0, 1, 1]), np.array([0.1, 0.2, 0.3, 0.8, 0.9]), id="separated"
+            ),
+        ],
+    )
+    def test_auc_matches_rankdata_reference(self, labels, scores):
+        from scipy.stats import rankdata
+
+        pos = labels == 1
+        n_pos, n_neg = int(pos.sum()), int((labels == 0).sum())
+        ranks = rankdata(scores)
+        expected = (np.sum(ranks[pos]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert V.auc_score(labels, scores) == expected
+
+    def test_auc_of_equal_scores_is_half(self):
+        assert V.auc_score(np.repeat([0, 1], [7, 5]), np.full(12, 0.25)) == 0.5
+
+    def test_auc_of_nan_score_is_nan(self):
+        assert np.isnan(V.auc_score(np.array([0, 1, 1]), np.array([0.1, np.nan, 0.3])))
+
     def test_regression_metrics_zero_error(self, full_model):
         rng = np.random.default_rng(23)
         lik = V.GaussianLikelihood(0.01)
