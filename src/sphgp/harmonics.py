@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 
 from . import backend
 from .special_math import (
@@ -293,30 +293,41 @@ def _as_matrix(x, dim: int):
     return coords, single
 
 
-def features(basis: HarmonicBasis, x, overrides: dict | None = None) -> np.ndarray:
+def features(basis: HarmonicBasis, x, overrides: dict | None = None, slopes: bool = False):
     """Evaluate the orthonormalized feature vector(s) at point(s) ``x``.
 
     For a full phase set the features reproduce the addition theorem:
     sum_i phi_i(x) phi_i(y) = ((ell+alpha)/alpha) * C_ell(x . y).
 
+    Each block is ``F_b = sc * C_ell(t) L_b^{-T}`` with ``t = clip(X V_b^T)``,
+    computed as one right-side BLAS triangular solve that folds the
+    addition-theorem scale ``sc`` in as its multiplier.
+
     ``overrides`` maps a frequency to a (directions, gram_chol) pair and is
-    used while phases are being trained.
+    used while phases are being trained. With ``slopes=True`` the result is
+    ``(F, slopes)``, where ``slopes`` maps each overridden frequency to the
+    (N, m) array d/dt C_ell(t), taken from the same recurrence as the values;
+    the phase gradients need it, predictions do not.
     """
     X, single = _as_matrix(x, basis.dim)
     alpha = alpha_for_dim(basis.dim)
     out = np.empty((X.shape[0], basis.num_features), dtype=np.float64)
+    slope_of = {}
     for ell, cols, fs in basis.blocks():
         if ell == 0:
             out[:, 0] = 1.0
             continue
-        if overrides is not None and ell in overrides:
-            V, L = overrides[ell]
+        trained = overrides is not None and ell in overrides
+        V, L = overrides[ell] if trained else (fs.directions, fs.gram_chol)
+        t = X @ V.T
+        np.clip(t, -1.0, 1.0, out=t)
+        if slopes and trained:
+            c, slope_of[ell] = backend.gegenbauer_last_and_slope(alpha, ell, t)
         else:
-            V, L = fs.directions, fs.gram_chol
-        t = np.clip(X @ V.T, -1.0, 1.0)
-        raw = addition_scale(ell, basis.dim) * backend.gegenbauer_last(alpha, ell, t)
-        out[:, cols] = solve_triangular(L, raw.T, lower=True, check_finite=False).T
-    return out[0] if single else out
+            c = backend.gegenbauer_last(alpha, ell, t)
+        out[:, cols] = dtrsm(addition_scale(ell, basis.dim), L, c, side=1, lower=1, trans_a=1)
+    F = out[0] if single else out
+    return (F, slope_of) if slopes else F
 
 
 # --- flat array serialization (used by the model checkpoint) ---------------

@@ -276,8 +276,7 @@ def mercer_gram(spec: Spectrum, X, Y=None) -> np.ndarray:
 def mercer_diag_value(spec: Spectrum) -> float:
     """k(x, x), identical for every unit vector x: variance * sum_l N(l,d) lambda_l."""
     counts = np.array(
-        [num_harmonics(ell, spec.dim) for ell in range(spec.max_frequency + 1)],
-        dtype=np.float64,
+        [float(num_harmonics(ell, spec.dim)) for ell in range(spec.max_frequency + 1)]
     )
     return float(spec.variance * np.dot(counts, spec.eigenvalues))
 

@@ -82,6 +82,9 @@ def num_harmonics(ell: int, dim: int) -> int:
 
     Computed exactly with integer arithmetic:
     N(0, d) = 1 and N(l, d) = (2l + d - 2)/(d - 2) * binom(l + d - 3, l).
+    The count is an exact Python int at any size (N(14, 78) is 1.04e16, past
+    float64's exact integers); callers compare it as an int and convert to
+    float only where counts are summed with eigenvalues.
     """
     if dim < 3:
         raise ValueError(f"dimension must be >= 3, got {dim}")
@@ -93,10 +96,6 @@ def num_harmonics(ell: int, dim: int) -> int:
     numer = (2 * ell + dim - 2) * math.comb(ell + dim - 3, ell)
     count, rem = divmod(numer, dim - 2)
     assert rem == 0
-    if count > 2**53:
-        raise OverflowError(
-            f"harmonic count N({ell},{dim}) = {count} exceeds exact float64 range"
-        )
     return count
 
 

@@ -29,6 +29,16 @@ block, ``L`` and ``k(x, x)``) is built once per call. The per-rows part
 (``_posterior_rows``: ``F``, ``A``, ``G``, the mean and the variance) runs
 on any subset of rows: the ELBO and its gradients pass their whole batch,
 and ``predict`` passes blocks of ``PREDICT_ROWS`` rows.
+
+The phase gradients ride on the feature pass. For each trained block,
+``harmonics.features`` hands back the slope ``d/dt C_l(t)`` at the same
+``t = X V^T`` as the values, from the same recurrence, and only when
+``elbo_gradients`` asks for it; ``predict`` and ``elbo`` never do. The
+block's feature adjoint is built in place on its columns of ``A S``, and
+every triangular solve, here and in the features, is one BLAS ``trsm``.
+The lower triangle of the covariance factor is packed and unpacked row by
+row through a cached boolean mask, and Adam updates its moments and the
+parameters in place.
 """
 
 from __future__ import annotations
@@ -39,8 +49,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.special import expit, log_ndtr
 
 from . import backend
@@ -223,7 +232,7 @@ class VariationalState:
     def cov_factor(self) -> np.ndarray:
         m = self.num_features
         L = np.zeros((m, m))
-        L[_tril_cached(m)] = self.cov_params
+        L[_tril_mask(m)] = self.cov_params
         d = np.arange(m)
         L[d, d] = np.exp(L[d, d])
         return L
@@ -240,13 +249,16 @@ class VariationalState:
 
 
 @lru_cache(maxsize=16)
-def _tril_cached(m: int):
-    return np.tril_indices(m)
+def _tril_mask(m: int) -> np.ndarray:
+    """Boolean lower-triangle mask; indexing with it walks the triangle row by row."""
+    mask = np.tri(m, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def cov_params_from_factor(L: np.ndarray) -> np.ndarray:
     m = L.shape[0]
-    packed = L[_tril_cached(m)].copy()
+    packed = L[_tril_mask(m)]
     packed[_diag_positions(m)] = np.log(L[np.arange(m), np.arange(m)])
     return packed
 
@@ -386,6 +398,7 @@ class _Rows:
     G: np.ndarray  # (N, M) A @ L; G G^T = A S A^T
     mu: np.ndarray
     v: np.ndarray  # unclamped predictive variance
+    slopes: dict  # trained block -> d/dt C_l at t = X V^T (only when asked for)
 
 
 def _posterior(model, state) -> _Posterior:
@@ -400,15 +413,16 @@ def _posterior(model, state) -> _Posterior:
     )
 
 
-def _posterior_rows(model, post: _Posterior, X) -> _Rows:
-    F = H.features(model.basis, X, overrides=post.overrides)
+def _posterior_rows(model, post: _Posterior, X, slopes: bool = False) -> _Rows:
+    out = H.features(model.basis, X, overrides=post.overrides, slopes=slopes)
+    F, slope_of = out if slopes else (out, {})
     A = F * post.lam[None, :]
     G = _times_factor(A, post.L)
     mu = A @ post.mean
     quad_s = np.einsum("ij,ij->i", G, G)
     w = np.einsum("ij,ij->i", A, F)
     v = post.kxx + quad_s - w
-    return _Rows(F=F, A=A, G=G, mu=mu, v=v)
+    return _Rows(F=F, A=A, G=G, mu=mu, v=v, slopes=slope_of)
 
 
 def _clamp_variances(v: np.ndarray) -> np.ndarray:
@@ -470,7 +484,7 @@ class _Batch:
     value: float
 
 
-def _elbo_batch(model, state, X, y, likelihood, n_total: int) -> _Batch:
+def _elbo_batch(model, state, X, y, likelihood, n_total: int, slopes: bool = False) -> _Batch:
     X = np.atleast_2d(X)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
@@ -478,7 +492,7 @@ def _elbo_batch(model, state, X, y, likelihood, n_total: int) -> _Batch:
     if n_total < X.shape[0]:
         raise ValueError("n_total must be at least the batch size")
     post = _posterior(model, state)
-    rows = _posterior_rows(model, post, X)
+    rows = _posterior_rows(model, post, X, slopes=slopes)
     v = _clamp_variances(rows.v)
     e, g, h, dnoise = _expected_loglik(likelihood, y, rows.mu, v, state.noise_variance)
     scale = n_total / X.shape[0]
@@ -506,8 +520,8 @@ def _chol_asym_backward(L: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
     P = np.tril(L.T @ Lbar)
     d = np.arange(L.shape[0])
     P[d, d] *= 0.5
-    Z = solve_triangular(L, P, lower=True, trans="T", check_finite=False)
-    W = solve_triangular(L, Z.T, lower=True, trans="T", check_finite=False)
+    Z = dtrsm(1.0, L, P, lower=1, trans_a=1)
+    W = dtrsm(1.0, L, Z.T, lower=1, trans_a=1)
     R = W.T
     return R + R.T
 
@@ -517,7 +531,7 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
 
     Scalar blocks are 0-d arrays.
     """
-    batch = _elbo_batch(model, state, X, y, likelihood, n_total)
+    batch = _elbo_batch(model, state, X, y, likelihood, n_total, slopes=True)
     X, post, scale, g, h = batch.X, batch.post, batch.scale, batch.g, batch.h
     lam, L, F, A, G = post.lam, post.L, batch.rows.F, batch.rows.A, batch.rows.G
     mean = state.mean
@@ -533,7 +547,7 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     l_diag = np.diag(L)
     Lbar = 2.0 * T - lam[:, None] * L
     Lbar[np.diag_indices(m_dim)] += 1.0 / l_diag
-    g_cov = Lbar[_tril_cached(m_dim)]
+    g_cov = Lbar[_tril_mask(m_dim)]
     g_cov[_diag_positions(m_dim)] *= l_diag
     grads["cov_params"] = g_cov
 
@@ -553,8 +567,10 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     if state.log_beta is not None:
         dlam_dbeta = K.poly_decay_beta_gradient(post.spec)
         counts = np.array(
-            [num_harmonics(ell, post.spec.dim) for ell in range(post.spec.max_frequency + 1)],
-            dtype=np.float64,
+            [
+                float(num_harmonics(ell, post.spec.dim))
+                for ell in range(post.spec.max_frequency + 1)
+            ]
         )
         sigma2 = post.spec.variance
         per_feature = float(
@@ -568,38 +584,37 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
             scale * float(np.sum(batch.dnoise)) * state.noise_variance
         )
 
-    # phases of truncated frequencies
+    # phases of truncated frequencies. The adjoint of a block's features is
+    # Fbar_b = scale (g (lam m)_b^T + 2 h (lam_b (A S)_b - A_b)); each trained
+    # block builds it in place on its columns of A S.
     if state.phases:
         C = _times_factor_t(G, L)  # A S
-        Fbar = scale * (
-            g[:, None] * (lam * mean)[None, :]
-            + 2.0 * h[:, None] * (lam[None, :] * C - A)
-        )
+        lam_mean = lam * mean
+        h2 = 2.0 * h[:, None]
         alpha = H.alpha_for_dim(model.basis.dim)
         for ell, cols, fs in model.basis.blocks():
             if ell not in state.phases:
                 continue
             V, L_A = post.overrides[ell]
             sc = H.addition_scale(ell, model.basis.dim)
-            Fb = F[:, cols]
-            Fbar_b = Fbar[:, cols]
-            abar = solve_triangular(L_A, Fbar_b.T, lower=True, trans="T", check_finite=False).T
-            asym = _chol_asym_backward(L_A, -(abar.T @ Fb))
+            Fbar_b = C[:, cols]
+            Fbar_b *= lam[cols]
+            Fbar_b -= A[:, cols]
+            Fbar_b *= h2
+            Fbar_b += g[:, None] * lam_mean[cols]
+            Fbar_b *= scale
+            abar = dtrsm(1.0, L_A, Fbar_b, side=1, lower=1)  # Fbar_b L_A^{-1}
+            asym = _chol_asym_backward(L_A, -(abar.T @ F[:, cols]))
             t_vv = V @ V.T
             np.fill_diagonal(t_vv, 1.0)
-            cp_vv = 2.0 * alpha * _safe_last(alpha + 1.0, ell - 1, t_vv)
-            w_mat = asym * cp_vv
+            np.clip(t_vv, -1.0, 1.0, out=t_vv)
+            w_mat = asym * backend.gegenbauer_last_and_slope(alpha, ell, t_vv)[1]
             np.fill_diagonal(w_mat, 0.0)
             grad_v = sc * (w_mat @ V)
-            cp_xv = 2.0 * alpha * _safe_last(alpha + 1.0, ell - 1, X @ V.T)
-            grad_v += sc * ((abar * cp_xv).T @ X)
+            grad_v += sc * ((abar * batch.rows.slopes[ell]).T @ X)
             grads[f"{PHASE_PREFIX}{ell}"] = grad_v
 
     return batch.value, grads
-
-
-def _safe_last(alpha, degree, t):
-    return backend.gegenbauer_last(alpha, degree, np.clip(t, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +640,32 @@ class TrainResult:
 
 
 _VARIATIONAL_KEYS = ("mean", "cov_params")
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8
+
+
+def _adam_step(param, m, v, grad, lr: float, corr1: float, corr2: float) -> None:
+    """One Adam ascent step on ``param`` and its moments ``m``, ``v``, all in place.
+
+    The operations and their order are those of
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``param + lr (m / corr1) / (sqrt(v / corr2) + eps)``, so the result is
+    bit-identical to evaluating those expressions, without their
+    temporaries. Every argument is an ndarray; ``out=`` keeps 0-d blocks 0-d.
+    """
+    tmp = np.multiply(1.0 - _B1, grad, out=np.empty_like(grad))
+    m *= _B1
+    m += tmp
+    np.multiply(1.0 - _B2, grad, out=tmp)
+    tmp *= grad
+    v *= _B2
+    v += tmp
+    np.divide(v, corr2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += _EPS
+    update = np.divide(m, corr1, out=np.empty_like(m))
+    update *= lr
+    update /= tmp
+    param += update
 
 
 def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | None = None):
@@ -649,7 +690,6 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
     params = pack_state(state)
     mom_m = {k: np.zeros_like(v) for k, v in params.items()}
     mom_v = {k: np.zeros_like(v) for k, v in params.items()}
-    b1, b2, eps = 0.9, 0.999, 1e-8
     trace = []
     t_start = time.perf_counter()
     step = 0
@@ -680,19 +720,16 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
                 f"variance={cur.variance:.3e}, beta={cur.beta}, noise={cur.noise_variance}"
             )
         step += 1
-        corr1 = 1.0 - b1**step
-        corr2 = 1.0 - b2**step
+        corr1 = 1.0 - _B1**step
+        corr2 = 1.0 - _B2**step
         for key, grad in grads.items():
             lr = config.lr_variational if key in _VARIATIONAL_KEYS else config.lr_hyper
-            mom_m[key] = b1 * mom_m[key] + (1.0 - b1) * grad
-            mom_v[key] = b2 * mom_v[key] + (1.0 - b2) * grad * grad
-            update = lr * (mom_m[key] / corr1) / (np.sqrt(mom_v[key] / corr2) + eps)
-            params[key] = params[key] + update
+            _adam_step(params[key], mom_m[key], mom_v[key], grad, lr, corr1, corr2)
         if "log_beta" in params:
-            params["log_beta"] = np.clip(params["log_beta"], log_beta_lo, log_beta_hi)
+            np.clip(params["log_beta"], log_beta_lo, log_beta_hi, out=params["log_beta"])
         for key in params:
             if key.startswith(PHASE_PREFIX):
-                params[key] = params[key] / np.linalg.norm(params[key], axis=1, keepdims=True)
+                params[key] /= np.linalg.norm(params[key], axis=1, keepdims=True)
         if it % config.log_every == 0 or it == config.iterations - 1:
             trace.append((it, float(value), time.perf_counter() - t_start))
 

@@ -32,3 +32,32 @@ def test_shapes_preserved():
     assert backend.gegenbauer_all(0.5, 3, t).shape == (4, 4, 6)
     assert backend.gegenbauer_last(0.5, 3, t).shape == (4, 6)
     assert backend.zonal_sum(np.ones(4), 0.5, t).shape == (4, 6)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0, 38.0])
+def test_last_and_slope(alpha):
+    from scipy.special import eval_gegenbauer
+
+    from sphgp.special_math import gegenbauer_at_one
+
+    edge = 1.0 - 1e-12
+    t = np.concatenate(
+        [[1.0, -1.0, edge, -edge], np.random.default_rng(5).uniform(-1, 1, size=40)]
+    ).reshape(4, 11)
+    for degree in range(1, 16):
+        value, slope = backend.gegenbauer_last_and_slope(alpha, degree, t)
+        assert value.shape == slope.shape == t.shape
+        assert np.array_equal(value, backend.gegenbauer_last(alpha, degree, t))
+        # d/dt C_l^(a) = 2a C_{l-1}^(a+1); its largest size on [-1, 1] is at t = 1
+        reference = 2.0 * alpha * eval_gegenbauer(degree - 1, alpha + 1.0, t)
+        slope_at_one = 2.0 * alpha * gegenbauer_at_one(alpha + 1.0, degree - 1)
+        assert np.max(np.abs(slope - reference)) <= 1e-13 * slope_at_one
+
+
+def test_last_and_slope_at_degree_zero_and_on_no_points():
+    t = rng.uniform(-1, 1, size=(3, 5))
+    value, slope = backend.gegenbauer_last_and_slope(2.0, 0, t)
+    assert np.array_equal(value, np.ones_like(t))
+    assert np.array_equal(slope, np.zeros_like(t))
+    value, slope = backend.gegenbauer_last_and_slope(2.0, 4, np.empty((0, 3)))
+    assert value.shape == slope.shape == (0, 3)

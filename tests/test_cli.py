@@ -414,6 +414,29 @@ class TestShippedConfig:
         cfg = load_config(CONFIG_DIR / name)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+    def test_builds_its_model_from_the_schema_alone(self, name):
+        # the schema fixes d: its feature columns plus the bias coordinate;
+        # no CSV is read (d = 78 and 91 have harmonic counts above 2**53)
+        from sphgp import kernels as K
+        from sphgp.special_math import num_harmonics
+
+        cfg = load_config(CONFIG_DIR / name)
+        schema = D.load_schema(CONFIG_DIR.parent / cfg.schema)
+        dim = len(schema.features) + 1
+        assert D.project_to_sphere(np.ones((1, len(schema.features))), cfg.bias).dim == dim
+        spectrum = cli._build_spectrum(
+            cfg.kernel, dim, cfg.max_frequency, cfg.beta0, cfg.depth,
+            cfg.lambda0, cfg.variance0, cfg.quad_order,
+        )
+        model = V.build_inducing_model(spectrum, phase_limit=cfg.phase_limit, seed=cfg.seed)
+        counts = [num_harmonics(ell, dim) for ell in range(1, cfg.max_frequency + 1)]
+        if cfg.phase_limit is not None:
+            counts = [min(cfg.phase_limit, n) for n in counts]
+        assert model.basis.dim == dim
+        assert model.num_features == 1 + sum(counts)
+        assert np.isfinite(K.mercer_diag_value(spectrum))
+
     def test_shipped_synthetic_config_trains(self, tmp_path, monkeypatch):
         from pathlib import Path
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sphgp import backend
 from sphgp import harmonics as H
 from sphgp.special_math import gegenbauer_at_one, gegenbauer_table, num_harmonics
 
@@ -158,6 +159,28 @@ class TestFeatures:
         L = fs.gram_chol
         ident = np.linalg.solve(L, np.linalg.solve(L, gram).T)
         assert np.max(np.abs(ident - np.eye(10))) <= 1e-10
+
+    def test_ill_conditioned_block_reproduces_raw_features(self):
+        # two nearly coincident directions: the block's Gram has cond >= 1e7,
+        # and F_b L_b^T must still give back sc * C_l(x . v) to rounding
+        ell, dim = 3, 5
+        fs = H.build_fundamental_set(ell, dim, 10, seed=0)
+        rng = np.random.default_rng(2)
+        V = fs.directions.copy()
+        V[1] = V[0] + 1e-4 * rng.standard_normal(dim)
+        V[1] /= np.linalg.norm(V[1])
+        gram = H.fundamental_gram(V, ell, dim)
+        assert H._condition_number(gram) >= 1e7
+        L = np.linalg.cholesky(gram)
+        basis = H.HarmonicBasis(dim=dim, max_frequency=ell, sets=(fs,))
+        X = random_sphere(rng, 300, dim)
+        F, slopes = H.features(basis, X, overrides={ell: (V, L)}, slopes=True)
+        t = np.clip(X @ V.T, -1.0, 1.0)
+        raw = addition_rhs(ell, dim, t)
+        assert np.max(np.abs(F[:, 1:] @ L.T - raw)) <= 1e-13 * np.max(np.abs(raw))
+        alpha = H.alpha_for_dim(dim)
+        assert np.array_equal(slopes[ell], backend.gegenbauer_last_and_slope(alpha, ell, t)[1])
+        assert np.array_equal(F, H.features(basis, X, overrides={ell: (V, L)}))
 
     def test_dimension_mismatch(self):
         basis = H.build_basis(3, 1, seed=0)

@@ -108,9 +108,11 @@ class TestHarmonicCounts:
                 rhs = (ell + alpha) / alpha * gegenbauer_at_one(alpha, ell)
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_overflow_detected(self):
-        with pytest.raises(OverflowError):
-            num_harmonics(40, 60)
+    def test_counts_past_float64_are_exact_ints(self):
+        # N(40, 60) is about 6.9e27: no float64 holds it exactly
+        count = num_harmonics(40, 60)
+        assert isinstance(count, int) and count > 2**53
+        assert count == oracles.harmonic_count_by_homogeneous(40, 60)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

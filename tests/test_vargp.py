@@ -156,6 +156,41 @@ class TestPredict:
         with pytest.raises(FloatingPointError):
             V.predict(full_model, state, X)
 
+    def test_predict_and_elbo_skip_phase_slopes(self, truncated_model, monkeypatch):
+        # only the phase gradients use d/dt C_l; scoring rows must not pay for it
+        rng = np.random.default_rng(9)
+        lik = V.GaussianLikelihood(0.1)
+        state, _ = random_state(truncated_model, rng, lik)
+        assert state.phases
+        X = random_sphere(rng, V.PREDICT_ROWS + 5, 4)
+        y = rng.standard_normal(X.shape[0])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("slope evaluated")
+
+        monkeypatch.setattr(V.backend, "gegenbauer_last_and_slope", refuse)
+        V.predict(truncated_model, state, X)
+        V.predict(truncated_model, state, X[:9], full_cov=True)
+        V.elbo(truncated_model, state, X, y, lik, X.shape[0])
+        with pytest.raises(AssertionError, match="slope evaluated"):
+            V.elbo_gradients(truncated_model, state, X, y, lik, X.shape[0])
+
+
+class TestCovPacking:
+    def test_round_trip_is_row_major_lower_triangle(self, truncated_model):
+        rng = np.random.default_rng(10)
+        state, L = random_state(truncated_model, rng)
+        m = L.shape[0]
+        factor = state.cov_factor()
+        assert np.array_equal(factor, L)
+        packed = V.cov_params_from_factor(factor)
+        assert np.array_equal(packed, state.cov_params)
+        rows, cols = np.tril_indices(m)
+        expected = L[rows, cols]
+        on_diag = rows == cols
+        expected[on_diag] = np.log(L[rows[on_diag], cols[on_diag]])
+        assert np.array_equal(packed, expected)
+
 
 class TestKl:
     def test_zero_at_prior(self, full_model):
@@ -347,6 +382,20 @@ class TestFit:
         res = V.fit(truncated_model, X, y, lik, cfg)
         lo, hi = V.BETA_BOUNDS
         assert lo <= res.state.beta <= hi
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)], ids=["0d", "1d", "2d"])
+    def test_adam_step_matches_textbook_update(self, shape):
+        rng = np.random.default_rng(22)
+        param, m, grad = (np.asarray(rng.standard_normal(shape)) for _ in range(3))
+        v = np.asarray(rng.uniform(0.1, 1.0, shape))
+        b1, b2, eps, lr, corr1, corr2 = 0.9, 0.999, 1e-8, 0.01, 0.19, 0.002
+        m_ref = b1 * m + (1.0 - b1) * grad
+        v_ref = b2 * v + (1.0 - b2) * grad * grad
+        p_ref = param + lr * (m_ref / corr1) / (np.sqrt(v_ref / corr2) + eps)
+        V._adam_step(param, m, v, grad, lr, corr1, corr2)
+        for got, ref in ((param, p_ref), (m, m_ref), (v, v_ref)):
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            assert np.array_equal(got, ref)
 
 
 class TestEvaluate:
