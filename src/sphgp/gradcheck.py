@@ -8,6 +8,10 @@ import numpy as np
 
 from . import vargp as V
 
+STEP = 1e-5  # central-difference step
+RTOL = 1e-4
+ATOL = 1e-7
+
 
 @dataclass(frozen=True)
 class GradCheckRow:
@@ -25,14 +29,12 @@ def check_gradients(
     y,
     likelihood,
     n_total: int,
-    h: float = 1e-5,
-    rtol: float = 1e-4,
-    atol: float = 1e-7,
     corrupt: str | None = None,
 ) -> list[GradCheckRow]:
     """Compare every gradient coordinate against central finite differences.
 
-    A coordinate passes when |analytic - fd| <= max(rtol * max(|a|, |fd|), atol).
+    A coordinate passes when |analytic - fd| <= max(RTOL * max(|a|, |fd|), ATOL),
+    with fd taken at step ``STEP``.
     ``corrupt`` names a parameter block whose analytic gradient is deliberately
     damaged, which lets callers verify the check itself can fail.
     """
@@ -51,15 +53,15 @@ def check_gradients(
         grad_flat = np.atleast_1d(grads[key]).ravel()
         for i in range(grad_flat.size):
             plus = {k: v.copy() for k, v in params.items()}
-            plus[key].reshape(-1)[i] += h
+            plus[key].reshape(-1)[i] += STEP
             minus = {k: v.copy() for k, v in params.items()}
-            minus[key].reshape(-1)[i] -= h
-            fd = (value_at(plus) - value_at(minus)) / (2.0 * h)
+            minus[key].reshape(-1)[i] -= STEP
+            fd = (value_at(plus) - value_at(minus)) / (2.0 * STEP)
             a = float(grad_flat[i])
             denom = max(abs(a), abs(fd))
             err = abs(a - fd)
             rel = err / denom if denom > 0 else 0.0
-            ok = err <= max(rtol * denom, atol)
+            ok = err <= max(RTOL * denom, ATOL)
             name = key if params[key].ndim == 0 else f"{key}[{i}]"
             rows.append(GradCheckRow(name, a, fd, rel, ok))
     return rows

@@ -8,23 +8,19 @@ their Gram matrix ``A = ((ell+alpha)/alpha) * C_ell(V V^T)``. With a full set
 (``m`` equal to the number of independent harmonics) the block spans all of
 frequency ``ell``; with fewer directions it spans an ``m``-dimensional
 orthonormal subspace, which is what makes high frequency cutoffs affordable.
+Every block, built, loaded, trained or frozen, is made by ``fundamental_set``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
 from . import backend
-from .special_math import (
-    clamp_inner_product,
-    gegenbauer_at_one,
-    gegenbauer_derivative,
-    num_harmonics,
-)
+from .special_math import gegenbauer_at_one, num_harmonics
 
 log = logging.getLogger(__name__)
 
@@ -45,9 +41,19 @@ def addition_scale(ell: int, dim: int) -> float:
     return (ell + a) / a
 
 
+def direction_cosines(V: np.ndarray) -> np.ndarray:
+    """``V V^T`` with the diagonal pinned at 1, clipped to [-1, 1].
+
+    The pinned diagonal does not move with the row norms while phases train.
+    """
+    t = V @ V.T
+    np.fill_diagonal(t, 1.0)
+    return np.clip(t, -1.0, 1.0, out=t)
+
+
 def fundamental_gram(directions: np.ndarray, ell: int, dim: int) -> np.ndarray:
     """Gram matrix of the raw frequency-ell features at the given directions."""
-    t = clamp_inner_product(directions @ directions.T, tol=np.inf)
+    t = direction_cosines(directions)
     return addition_scale(ell, dim) * backend.gegenbauer_last(alpha_for_dim(dim), ell, t)
 
 
@@ -58,8 +64,7 @@ class FundamentalSet:
     frequency: int
     directions: np.ndarray  # (m, d), unit rows
     gram_chol: np.ndarray  # (m, m), lower triangular
-    cond: float
-    jitter: float = 0.0
+    jitter: float  # diagonal jitter the factorization needed, 0.0 if none
 
     @property
     def dim(self) -> int:
@@ -117,9 +122,9 @@ def _repel_directions(V: np.ndarray, ell: int, dim: int, iters: int) -> np.ndarr
     c_one = gegenbauer_at_one(alpha, ell)
 
     def energy_grad(M):
-        t = np.clip(M @ M.T, -1.0, 1.0)
-        c = backend.gegenbauer_last(alpha, ell, t) / c_one
-        cp = gegenbauer_derivative(alpha, ell, t) / c_one
+        c, cp = backend.gegenbauer_last_and_slope(alpha, ell, direction_cosines(M))
+        c /= c_one
+        cp /= c_one
         np.fill_diagonal(c, 0.0)
         e = 0.5 * float(np.sum(c * c))
         return e, (c * cp) @ M
@@ -145,8 +150,9 @@ def build_fundamental_set(ell: int, dim: int, num_phases: int, seed: int = 0) ->
     """Pick ``num_phases`` well-separated directions for frequency ``ell``.
 
     Starts from a seeded random draw, runs the repulsion above, and accepts
-    the candidate only if the Gram Cholesky succeeds with condition number
-    below ``COND_LIMIT``. Retries with fresh seeds up to ``MAX_RESTARTS`` times.
+    the candidate only if its Gram has condition number below ``COND_LIMIT``
+    and factors without jitter. Retries with fresh seeds up to
+    ``MAX_RESTARTS`` times.
     """
     if ell < 1:
         raise ValueError("frequency must be >= 1 (0 is the constant feature)")
@@ -165,50 +171,28 @@ def build_fundamental_set(ell: int, dim: int, num_phases: int, seed: int = 0) ->
         candidates = [V]
         if num_phases > 1:
             candidates.insert(0, _repel_directions(V, ell, dim, _repel_budget(num_phases)))
-        scored = []
-        for cand in candidates:
-            gram = fundamental_gram(cand, ell, dim)
-            cond = _condition_number(gram)
-            best_cond = min(best_cond, cond)
-            scored.append((cond, cand, gram))
-        cond, cand, gram = min(scored, key=lambda s: s[0])
+        scored = [(_condition_number(fundamental_gram(c, ell, dim)), c) for c in candidates]
+        cond, cand = min(scored, key=lambda s: s[0])
+        best_cond = min(best_cond, cond)
         if cond < COND_LIMIT:
-            try:
-                chol = np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                continue
-            return FundamentalSet(
-                frequency=ell, directions=cand, gram_chol=chol, cond=cond
-            )
+            fset = fundamental_set(ell, cand, dim)
+            if fset.jitter == 0.0:
+                return fset
     raise RuntimeError(
         f"could not build a fundamental set for ell={ell}, d={dim}, m={num_phases} "
         f"after {MAX_RESTARTS} restarts; best condition number {best_cond:.3e}"
     )
 
 
-def _fundamental_set(ell: int, V: np.ndarray, dim: int) -> FundamentalSet:
-    """The set for unit directions ``V``: Gram, jittered Cholesky, condition number.
+def fundamental_set(ell: int, V: np.ndarray, dim: int) -> FundamentalSet:
+    """The block for unit directions ``V``: ``fundamental_gram`` and its Cholesky.
 
-    If the Gram factorization fails the smallest jitter from a fixed ladder
-    (relative to trace/m) is added, logged and recorded on the returned set.
+    A Gram that fails to factor gets the smallest jitter from a fixed ladder
+    (relative to trace/m), recorded on the set but not logged, since training
+    refactors every step; ``warn_jitter`` reports a finished basis.
     """
-    gram = fundamental_gram(V, ell, dim)
-    chol, jitter = _chol_with_jitter(gram)
-    if jitter > 0:
-        log.warning("frequency %d: Gram needed jitter %.3e", ell, jitter)
-    return FundamentalSet(
-        frequency=ell,
-        directions=V,
-        gram_chol=chol,
-        cond=_condition_number(gram),
-        jitter=jitter,
-    )
-
-
-def reorthogonalize(fset: FundamentalSet) -> FundamentalSet:
-    """Re-normalize possibly perturbed directions and refresh the Cholesky."""
-    V = fset.directions / np.linalg.norm(fset.directions, axis=1, keepdims=True)
-    return _fundamental_set(fset.frequency, V, fset.dim)
+    chol, jitter = _chol_with_jitter(fundamental_gram(V, ell, dim))
+    return FundamentalSet(frequency=ell, directions=V, gram_chol=chol, jitter=jitter)
 
 
 @dataclass(frozen=True)
@@ -255,11 +239,13 @@ class HarmonicBasis:
                 return fs
         raise KeyError(f"no fundamental set at frequency {ell}")
 
-    def with_set(self, new_set: FundamentalSet) -> "HarmonicBasis":
-        sets = tuple(
-            new_set if fs.frequency == new_set.frequency else fs for fs in self.sets
-        )
-        return replace(self, sets=sets)
+
+def warn_jitter(basis: HarmonicBasis) -> HarmonicBasis:
+    """Log each block of a finished basis whose Gram needed jitter; returns the basis."""
+    for fs in basis.sets:
+        if fs.jitter > 0:
+            log.warning("frequency %d: Gram needed jitter %.3e", fs.frequency, fs.jitter)
+    return basis
 
 
 def build_basis(
@@ -293,7 +279,7 @@ def _as_matrix(x, dim: int):
     return coords, single
 
 
-def features(basis: HarmonicBasis, x, overrides: dict | None = None, slopes: bool = False):
+def features(basis: HarmonicBasis, x, slopes=()):
     """Evaluate the orthonormalized feature vector(s) at point(s) ``x``.
 
     For a full phase set the features reproduce the addition theorem:
@@ -303,11 +289,10 @@ def features(basis: HarmonicBasis, x, overrides: dict | None = None, slopes: boo
     computed as one right-side BLAS triangular solve that folds the
     addition-theorem scale ``sc`` in as its multiplier.
 
-    ``overrides`` maps a frequency to a (directions, gram_chol) pair and is
-    used while phases are being trained. With ``slopes=True`` the result is
-    ``(F, slopes)``, where ``slopes`` maps each overridden frequency to the
-    (N, m) array d/dt C_ell(t), taken from the same recurrence as the values;
-    the phase gradients need it, predictions do not.
+    ``slopes`` names the frequencies whose slopes are wanted. When it names
+    any, the result is ``(F, slope_of)``, where ``slope_of`` maps each named
+    frequency to the (N, m) array d/dt C_ell(t), taken from the same
+    recurrence as the values; the phase gradients need it, predictions do not.
     """
     X, single = _as_matrix(x, basis.dim)
     alpha = alpha_for_dim(basis.dim)
@@ -317,15 +302,15 @@ def features(basis: HarmonicBasis, x, overrides: dict | None = None, slopes: boo
         if ell == 0:
             out[:, 0] = 1.0
             continue
-        trained = overrides is not None and ell in overrides
-        V, L = overrides[ell] if trained else (fs.directions, fs.gram_chol)
-        t = X @ V.T
+        t = X @ fs.directions.T
         np.clip(t, -1.0, 1.0, out=t)
-        if slopes and trained:
+        if ell in slopes:
             c, slope_of[ell] = backend.gegenbauer_last_and_slope(alpha, ell, t)
         else:
             c = backend.gegenbauer_last(alpha, ell, t)
-        out[:, cols] = dtrsm(addition_scale(ell, basis.dim), L, c, side=1, lower=1, trans_a=1)
+        out[:, cols] = dtrsm(
+            addition_scale(ell, basis.dim), fs.gram_chol, c, side=1, lower=1, trans_a=1
+        )
     F = out[0] if single else out
     return (F, slope_of) if slopes else F
 
@@ -333,6 +318,7 @@ def features(basis: HarmonicBasis, x, overrides: dict | None = None, slopes: boo
 # --- flat array serialization (used by the model checkpoint) ---------------
 
 BASIS_FORMAT_VERSION = 1
+UNIT_TOL = 1e-12  # largest | ||v|| - 1 | a loaded direction row may have
 
 
 def basis_to_arrays(basis: HarmonicBasis) -> dict[str, np.ndarray]:
@@ -361,5 +347,11 @@ def basis_from_arrays(arrays) -> HarmonicBasis:
     for ell in np.asarray(arrays["basis_frequencies"], dtype=np.int64):
         ell = int(ell)
         V = np.asarray(arrays[f"basis_V_{ell}"], dtype=np.float64)
-        sets.append(_fundamental_set(ell, V, dim))
-    return HarmonicBasis(dim=dim, max_frequency=max_frequency, sets=tuple(sets))
+        norm_error = np.abs(np.linalg.norm(V, axis=1) - 1.0)
+        if not np.all(norm_error <= UNIT_TOL):  # a NaN or inf row fails too
+            raise ValueError(
+                f"basis_V_{ell} rows must be finite unit vectors; "
+                f"largest norm error {np.max(norm_error):.3e}"
+            )
+        sets.append(fundamental_set(ell, V, dim))
+    return warn_jitter(HarmonicBasis(dim=dim, max_frequency=max_frequency, sets=tuple(sets)))

@@ -273,12 +273,16 @@ def mercer_gram(spec: Spectrum, X, Y=None) -> np.ndarray:
     return backend.zonal_sum(_expansion_coeffs(spec), spec.alpha, t)
 
 
-def mercer_diag_value(spec: Spectrum) -> float:
-    """k(x, x), identical for every unit vector x: variance * sum_l N(l,d) lambda_l."""
-    counts = np.array(
+def harmonic_counts(spec: Spectrum) -> np.ndarray:
+    """N(l, d) as floats for every frequency l of the spectrum."""
+    return np.array(
         [float(num_harmonics(ell, spec.dim)) for ell in range(spec.max_frequency + 1)]
     )
-    return float(spec.variance * np.dot(counts, spec.eigenvalues))
+
+
+def mercer_diag_value(spec: Spectrum) -> float:
+    """k(x, x), identical for every unit vector x: variance * sum_l N(l,d) lambda_l."""
+    return float(spec.variance * np.dot(harmonic_counts(spec), spec.eigenvalues))
 
 
 def export_spectrum(spec: Spectrum, path) -> None:

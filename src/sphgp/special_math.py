@@ -41,11 +41,11 @@ class QuadratureRule:
             raise ValueError("weights must sum to 2 on [-1, 1]")
 
 
-def clamp_inner_product(t, tol: float = T_CLAMP):
-    """Clip t into [-1, 1], rejecting overshoots larger than tol."""
+def clamp_inner_product(t):
+    """Clip t into [-1, 1], rejecting overshoots larger than ``T_CLAMP``."""
     t = np.asarray(t, dtype=np.float64)
     overshoot = np.max(np.abs(t)) - 1.0 if t.size else 0.0
-    if overshoot > tol:
+    if overshoot > T_CLAMP:
         raise ValueError(f"inner product outside [-1, 1] by {overshoot:.3e}")
     return np.clip(t, -1.0, 1.0)
 
@@ -56,15 +56,6 @@ def gegenbauer_table(alpha: float, lmax: int, t) -> np.ndarray:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     t = clamp_inner_product(t)
     return backend.gegenbauer_all(alpha, lmax, t)
-
-
-def gegenbauer_derivative(alpha: float, degree: int, t):
-    """d/dt C_l^{(alpha)}(t) = 2*alpha*C_{l-1}^{(alpha+1)}(t)."""
-    if degree == 0:
-        t = np.asarray(t, dtype=np.float64)
-        return np.zeros_like(t)
-    t = clamp_inner_product(t)
-    return 2.0 * alpha * backend.gegenbauer_last(alpha + 1.0, degree - 1, t)
 
 
 def gegenbauer_at_one(alpha: float, degree: int) -> float:

@@ -24,18 +24,21 @@ products are BLAS ``trmm`` calls, so one gradient evaluation costs
 O(N M^2) whether M is below or above N.
 
 The posterior is computed in two parts. The per-state part (``_posterior``:
-the effective spectrum, ``lam``, the Gram Cholesky of each trained phase
-block, ``L`` and ``k(x, x)``) is built once per call. The per-rows part
+the effective spectrum, ``lam``, the basis at the state's phases, ``L`` and
+``k(x, x)``) is built once per call. The per-rows part
 (``_posterior_rows``: ``F``, ``A``, ``G``, the mean and the variance) runs
 on any subset of rows: the ELBO and its gradients pass their whole batch,
 and ``predict`` passes blocks of ``PREDICT_ROWS`` rows.
 
-The phase gradients ride on the feature pass. For each trained block,
-``harmonics.features`` hands back the slope ``d/dt C_l(t)`` at the same
-``t = X V^T`` as the values, from the same recurrence, and only when
-``elbo_gradients`` asks for it; ``predict`` and ``elbo`` never do. The
-block's feature adjoint is built in place on its columns of ``A S``, and
-every triangular solve, here and in the features, is one BLAS ``trsm``.
+``_basis_at`` refactors each block of ``state.phases`` with
+``harmonics.fundamental_set``, as building and loading do, so a state whose
+phases equal the basis directions scores exactly like a frozen one
+(``phases={}``). The phase gradients ride on the feature pass:
+``harmonics.features`` returns the slope ``d/dt C_l(t)`` at the same
+``t = X V^T`` as the values, from the same recurrence, for the frequencies
+``elbo_gradients`` names (those of ``state.phases``); ``predict`` and
+``elbo`` name none. Each block's feature adjoint is built in place on its
+columns of ``A S``, and every triangular solve is one BLAS ``trsm``.
 The lower triangle of the covariance factor is packed and unpacked row by
 row through a cached boolean mask, and Adam updates its moments and the
 parameters in place.
@@ -345,28 +348,15 @@ def _lambda_per_feature(model: InducingModel, spectrum: K.Spectrum) -> np.ndarra
     return lam
 
 
-def _phase_gram(V: np.ndarray, ell: int, dim: int) -> np.ndarray:
-    """Gram of raw frequency-ell features with the diagonal pinned at t = 1.
-
-    Used while phases train: off-diagonal entries vary smoothly with the raw
-    direction rows while the diagonal stays constant, so gradients do not
-    couple to row norms (rows are re-normalized after every optimizer step).
-    """
-    t = V @ V.T
-    np.fill_diagonal(t, 1.0)
-    t = np.clip(t, -1.0, 1.0)
-    alpha = H.alpha_for_dim(dim)
-    return H.addition_scale(ell, dim) * backend.gegenbauer_last(alpha, ell, t)
-
-
-def _phase_overrides(model: InducingModel, state: VariationalState) -> dict:
-    """(V, cholesky) pairs for frequencies whose phases live in the state."""
-    overrides = {}
-    for ell, V in state.phases.items():
-        gram = _phase_gram(V, ell, model.basis.dim)
-        L, jitter = H._chol_with_jitter(gram)
-        overrides[ell] = (V, L)
-    return overrides
+def _basis_at(basis: H.HarmonicBasis, phases: dict) -> H.HarmonicBasis:
+    """The basis with each block named in ``phases`` refactored at those directions."""
+    sets = tuple(
+        H.fundamental_set(fs.frequency, phases[fs.frequency], basis.dim)
+        if fs.frequency in phases
+        else fs
+        for fs in basis.sets
+    )
+    return replace(basis, sets=sets)
 
 
 def _times_factor(B: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -385,8 +375,9 @@ class _Posterior:
 
     spec: K.Spectrum
     lam: np.ndarray  # per-feature variance * lambda_l
-    overrides: dict  # trained phase blocks: (directions, Gram Cholesky)
+    basis: H.HarmonicBasis  # the model's basis at the state's phases
     L: np.ndarray  # covariance factor of q(u)
+    s_diag: np.ndarray  # diag(S) = rowsum(L * L), for the KL and its lambda adjoint
     mean: np.ndarray
     kxx: float
 
@@ -403,18 +394,20 @@ class _Rows:
 
 def _posterior(model, state) -> _Posterior:
     spec = _effective_spectrum(model, state)
+    L = state.cov_factor()
     return _Posterior(
         spec=spec,
         lam=_lambda_per_feature(model, spec),
-        overrides=_phase_overrides(model, state),
-        L=state.cov_factor(),
+        basis=_basis_at(model.basis, state.phases),
+        L=L,
+        s_diag=np.einsum("ij,ij->i", L, L),
         mean=state.mean,
         kxx=K.mercer_diag_value(spec),
     )
 
 
-def _posterior_rows(model, post: _Posterior, X, slopes: bool = False) -> _Rows:
-    out = H.features(model.basis, X, overrides=post.overrides, slopes=slopes)
+def _posterior_rows(post: _Posterior, X, slopes=()) -> _Rows:
+    out = H.features(post.basis, X, slopes=slopes)
     F, slope_of = out if slopes else (out, {})
     A = F * post.lam[None, :]
     G = _times_factor(A, post.L)
@@ -447,7 +440,7 @@ def predict(model, state, X, full_cov: bool = False):
     X = np.atleast_2d(X)
     post = _posterior(model, state)
     if full_cov:
-        rows = _posterior_rows(model, post, X)
+        rows = _posterior_rows(post, X)
         Kmat = K.mercer_gram(post.spec, X)
         return rows.mu, Kmat + rows.G @ rows.G.T - rows.A @ rows.F.T
     n = X.shape[0]
@@ -455,14 +448,14 @@ def predict(model, state, X, full_cov: bool = False):
     v = np.empty(n)
     for start in range(0, n, PREDICT_ROWS):
         block = slice(start, start + PREDICT_ROWS)
-        rows = _posterior_rows(model, post, X[block])
+        rows = _posterior_rows(post, X[block])
         mu[block] = rows.mu
         v[block] = rows.v
     return mu, _clamp_variances(v)
 
 
-def _kl_from_parts(lam, mean, L) -> float:
-    s_diag = np.sum(L * L, axis=1)
+def _kl_from_parts(lam, mean, L, s_diag) -> float:
+    """KL(q(u) || p(u)); ``s_diag`` is diag(S), the row sums of ``L * L``."""
     logdet_s = 2.0 * np.sum(np.log(np.diag(L)))
     m = lam.size
     return 0.5 * float(
@@ -484,7 +477,7 @@ class _Batch:
     value: float
 
 
-def _elbo_batch(model, state, X, y, likelihood, n_total: int, slopes: bool = False) -> _Batch:
+def _elbo_batch(model, state, X, y, likelihood, n_total: int, slopes=()) -> _Batch:
     X = np.atleast_2d(X)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
@@ -492,11 +485,11 @@ def _elbo_batch(model, state, X, y, likelihood, n_total: int, slopes: bool = Fal
     if n_total < X.shape[0]:
         raise ValueError("n_total must be at least the batch size")
     post = _posterior(model, state)
-    rows = _posterior_rows(model, post, X, slopes=slopes)
+    rows = _posterior_rows(post, X, slopes=slopes)
     v = _clamp_variances(rows.v)
     e, g, h, dnoise = _expected_loglik(likelihood, y, rows.mu, v, state.noise_variance)
     scale = n_total / X.shape[0]
-    value = scale * float(np.sum(e)) - _kl_from_parts(post.lam, state.mean, post.L)
+    value = scale * float(np.sum(e)) - _kl_from_parts(post.lam, state.mean, post.L, post.s_diag)
     return _Batch(X=X, post=post, rows=rows, scale=scale, g=g, h=h, dnoise=dnoise, value=value)
 
 
@@ -531,7 +524,7 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
 
     Scalar blocks are 0-d arrays.
     """
-    batch = _elbo_batch(model, state, X, y, likelihood, n_total, slopes=True)
+    batch = _elbo_batch(model, state, X, y, likelihood, n_total, slopes=tuple(state.phases))
     X, post, scale, g, h = batch.X, batch.post, batch.scale, batch.g, batch.h
     lam, L, F, A, G = post.lam, post.L, batch.rows.F, batch.rows.A, batch.rows.G
     mean = state.mean
@@ -553,12 +546,11 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
 
     # per-feature lambda adjoint (data + KL), then chain into hypers;
     # rowsum(T * L) / lam = scale sum_i h_i F_ij (A S)_ij
-    s_diag = np.sum(L * L, axis=1)
     g_lam = (
         scale * (F.T @ g) * mean
         + 2.0 * np.einsum("ij,ij->i", T, L) / lam
         - scale * ((F * F).T @ h)
-        - 0.5 * (s_diag + mean * mean - 1.0 / lam)
+        - 0.5 * (post.s_diag + mean * mean - 1.0 / lam)
     )
     h_total = scale * float(np.sum(h))
 
@@ -566,17 +558,11 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
 
     if state.log_beta is not None:
         dlam_dbeta = K.poly_decay_beta_gradient(post.spec)
-        counts = np.array(
-            [
-                float(num_harmonics(ell, post.spec.dim))
-                for ell in range(post.spec.max_frequency + 1)
-            ]
-        )
         sigma2 = post.spec.variance
         per_feature = float(
             np.dot(g_lam, sigma2 * dlam_dbeta[model.feature_frequencies])
         )
-        via_kxx = h_total * sigma2 * float(np.dot(counts, dlam_dbeta))
+        via_kxx = h_total * sigma2 * float(np.dot(K.harmonic_counts(post.spec), dlam_dbeta))
         grads["log_beta"] = np.asarray((per_feature + via_kxx) * state.beta)
 
     if likelihood.kind == "gaussian":
@@ -592,10 +578,10 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
         lam_mean = lam * mean
         h2 = 2.0 * h[:, None]
         alpha = H.alpha_for_dim(model.basis.dim)
-        for ell, cols, fs in model.basis.blocks():
+        for ell, cols, fs in post.basis.blocks():
             if ell not in state.phases:
                 continue
-            V, L_A = post.overrides[ell]
+            V, L_A = fs.directions, fs.gram_chol
             sc = H.addition_scale(ell, model.basis.dim)
             Fbar_b = C[:, cols]
             Fbar_b *= lam[cols]
@@ -605,9 +591,7 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
             Fbar_b *= scale
             abar = dtrsm(1.0, L_A, Fbar_b, side=1, lower=1)  # Fbar_b L_A^{-1}
             asym = _chol_asym_backward(L_A, -(abar.T @ F[:, cols]))
-            t_vv = V @ V.T
-            np.fill_diagonal(t_vv, 1.0)
-            np.clip(t_vv, -1.0, 1.0, out=t_vv)
+            t_vv = H.direction_cosines(V)
             w_mat = asym * backend.gegenbauer_last_and_slope(alpha, ell, t_vv)[1]
             np.fill_diagonal(w_mat, 0.0)
             grad_v = sc * (w_mat @ V)
@@ -671,9 +655,11 @@ def _adam_step(param, m, v, grad, lr: float, corr1: float, corr2: float) -> None
 def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | None = None):
     """Maximize the ELBO with Adam (b1=0.9, b2=0.999) over all trainable parameters.
 
-    Phase rows are projected back to the sphere after every step and their
-    Gram factor refreshed, so the diagonal prior structure stays exact.
-    Deterministic under a fixed seed and single-threaded execution.
+    Phase rows are projected back to the sphere after every step, and every
+    ELBO call refactors their blocks, so the diagonal prior structure stays
+    exact. The returned model's basis is the one the last steps trained:
+    ``_basis_at`` of the final phases. Deterministic under a fixed seed and
+    single-threaded execution.
     """
     from .data_io import minibatches
 
@@ -734,13 +720,8 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
             trace.append((it, float(value), time.perf_counter() - t_start))
 
     final = unpack_state(params)
-    basis = model.basis
-    for ell, V in final.phases.items():
-        fs = replace(basis.set_for(ell), directions=V)
-        basis = basis.with_set(H.reorthogonalize(fs))
-    # keep the state phases bit-identical to the synced basis rows
-    final.phases = {ell: basis.set_for(ell).directions.copy() for ell in final.phases}
-    model_out = replace(model, basis=basis)
+    phases = {ell: V.copy() for ell, V in final.phases.items()}  # the basis owns its rows
+    model_out = replace(model, basis=H.warn_jitter(_basis_at(model.basis, phases)))
     return TrainResult(model=model_out, state=final, trace=trace, moments={"m": mom_m, "v": mom_v, "step": step})
 
 

@@ -227,6 +227,28 @@ class TestEval:
         n_rows = len((tmp_path / "out" / "predictions.csv").read_text().splitlines()) - 1
         assert rows_per_call == [n_rows]
 
+    def test_tampered_direction_rows_are_a_load_error(self, regression_run, tmp_path, capsys):
+        tmp, _, run_dir = regression_run
+        with np.load(run_dir / "checkpoint.npz", allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        key = f"basis_V_{int(arrays['basis_frequencies'][-1])}"
+        arrays[key] = (1.0 + 1e-6) * arrays[key]
+        np.savez(tmp_path / "tampered.npz", **arrays)
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(tmp_path / "tampered.npz"),
+            "--data", str(tmp / "reg.csv"),
+            "--out", str(tmp_path / "out"),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValueError"
+        assert key in record["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_relative_schema_resolves_under_data_dir(
         self, classification_run, tmp_path, monkeypatch
     ):

@@ -106,7 +106,7 @@ def test_matches_dense_reference(likelihood, trained_phases):
     lam = lam_ell[freqs]
 
     F, phase_vjps = reference_features(model, state, X)
-    assert_close(V._posterior_rows(model, V._posterior(model, state), X).F, F)
+    assert_close(V._posterior_rows(V._posterior(model, state), X).F, F)
 
     link = getattr(likelihood, "link", None)
     ref = oracles.dense_svgp_reference(

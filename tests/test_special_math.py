@@ -11,7 +11,6 @@ from sphgp.special_math import (
     funk_hecke_constant,
     gauss_legendre,
     gegenbauer_at_one,
-    gegenbauer_derivative,
     gegenbauer_table,
     num_harmonics,
 )
@@ -57,15 +56,6 @@ class TestGegenbauer:
         alpha = (dim - 2) / 2.0
         val = float(gegenbauer_table(alpha, ell, t)[ell])
         assert abs(val) <= gegenbauer_at_one(alpha, ell) * (1.0 + 1e-12)
-
-    def test_derivative_matches_finite_differences(self):
-        t = np.linspace(-0.9, 0.9, 11)
-        h = 1e-6
-        for alpha, ell in ((0.5, 3), (1.5, 5), (3.0, 7)):
-            fd = (
-                gegenbauer_table(alpha, ell, t + h)[ell] - gegenbauer_table(alpha, ell, t - h)[ell]
-            ) / (2.0 * h)
-            assert np.allclose(gegenbauer_derivative(alpha, ell, t), fd, rtol=1e-6, atol=1e-6)
 
     def test_table_agrees_with_single_degrees(self):
         t = np.linspace(-1.0, 1.0, 17)

@@ -35,7 +35,8 @@ def random_state(model, rng, likelihood=None, scale=0.3):
 def kl(model, state):
     """The ELBO's KL term at the state's own hyperparameters."""
     lam = V._lambda_per_feature(model, V._effective_spectrum(model, state))
-    return V._kl_from_parts(lam, state.mean, state.cov_factor())
+    L = state.cov_factor()
+    return V._kl_from_parts(lam, state.mean, L, np.sum(L * L, axis=1))
 
 
 class TestKuf:
@@ -174,6 +175,23 @@ class TestPredict:
         V.elbo(truncated_model, state, X, y, lik, X.shape[0])
         with pytest.raises(AssertionError, match="slope evaluated"):
             V.elbo_gradients(truncated_model, state, X, y, lik, X.shape[0])
+
+    def test_phases_at_basis_directions_score_like_frozen(self, truncated_model):
+        # a trained block and a frozen one go through the same Gram and factorization
+        rng = np.random.default_rng(11)
+        lik = V.GaussianLikelihood(0.1)
+        trained, _ = random_state(truncated_model, rng, lik)
+        assert trained.phases
+        frozen = trained.copy()
+        frozen.phases = {}
+        X = random_sphere(rng, 40, 4)
+        y = rng.standard_normal(40)
+        mu_t, var_t = V.predict(truncated_model, trained, X)
+        mu_f, var_f = V.predict(truncated_model, frozen, X)
+        assert np.array_equal(mu_t, mu_f) and np.array_equal(var_t, var_f)
+        assert V.elbo(truncated_model, trained, X, y, lik, 80) == V.elbo(
+            truncated_model, frozen, X, y, lik, 80
+        )
 
 
 class TestCovPacking:
@@ -360,6 +378,21 @@ class TestFit:
             not np.array_equal(res.state.phases[ell], truncated_model.basis.set_for(ell).directions)
             for ell in res.state.phases
         )
+
+    def test_returned_basis_is_the_trained_one(self, truncated_model):
+        lik = V.GaussianLikelihood(0.1)
+        rng = np.random.default_rng(22)
+        X = random_sphere(rng, 40, 4)
+        y = rng.standard_normal(40)
+        cfg = V.FitConfig(iterations=10, batch_size=20, seed=2)
+        res = V.fit(truncated_model, X, y, lik, cfg)
+        assert res.state.phases
+        for ell, Vmat in res.state.phases.items():
+            got = res.model.basis.set_for(ell)
+            want = H.fundamental_set(ell, Vmat, 4)
+            assert np.array_equal(got.directions, want.directions)
+            assert np.array_equal(got.gram_chol, want.gram_chol)
+            assert got.jitter == want.jitter
 
     def test_deterministic_under_seed(self, truncated_model):
         lik = V.GaussianLikelihood(0.1)
