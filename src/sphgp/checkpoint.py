@@ -53,15 +53,20 @@ def _state_arrays(state: V.VariationalState) -> dict[str, np.ndarray]:
 
 
 def _state_from_arrays(arrays: dict, basis: H.HarmonicBasis) -> V.VariationalState:
-    params = {
+    m = basis.num_features
+    for key, size in (("state_mean", m), ("state_cov_params", m * (m + 1) // 2)):
+        if arrays[key].size != size:
+            raise ValueError(
+                f"checkpoint {key} has {arrays[key].size} entries but its basis of "
+                f"{m} features needs {size}"
+            )
+    state = V.unpack_state({
         key[len("state_"):]: value
         for key, value in arrays.items()
         if key.startswith("state_") and not (value.ndim == 0 and np.isnan(value))
-    }
-    for fs in basis.sets:
-        if not fs.is_full:
-            params[f"{V.PHASE_PREFIX}{fs.frequency}"] = fs.directions.copy()
-    return V.unpack_state(params)
+    })
+    state.phases = V.trainable_phases(basis)
+    return state
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

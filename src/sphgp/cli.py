@@ -7,8 +7,11 @@ Deterministic mode (the default) pins the numeric libraries to one thread;
 ``--parallel`` lifts that and relaxes bit-reproducibility to
 tolerance-reproducibility.
 
-``eval`` checks the schema's input dimension against the checkpoint before
-it reads the CSV, then scores every row once: one ``vargp.predict`` call
+``train`` builds its model from the schema's input dimension before it
+reads the CSV, and makes the run directory only once the data has loaded,
+so a bad kernel config or data file fails in seconds and leaves nothing
+behind. ``eval`` checks the schema's input
+dimension against the checkpoint before it reads the CSV, then scores every row once: one ``vargp.predict`` call
 gives the predictive mean and variance of all rows, and both
 ``metrics.json`` and ``predictions.csv`` are derived from those arrays.
 ``predictions.csv`` is written with one ``%``-format call per row: the index
@@ -81,24 +84,18 @@ def cmd_train(args) -> int:
         import dataclasses
 
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    out_root = Path(args.out) if args.out else Path(cfg.out_root)
-    run_dir = out_root / config_hash(cfg)
-    run_dir.mkdir(parents=True, exist_ok=True)
-
     schema = D.load_schema(_resolve_data_path(cfg.schema))
+    spectrum = _build_spectrum(
+        cfg.kernel, len(schema.features) + 1, cfg.max_frequency, cfg.beta0, cfg.depth,
+        cfg.lambda0, cfg.variance0, cfg.quad_order,
+    )
+    model = V.build_inducing_model(spectrum, phase_limit=cfg.phase_limit, seed=cfg.seed)
     dataset = D.load_csv(
         _resolve_data_path(cfg.data_csv), schema, max_bad_fraction=cfg.max_bad_fraction
     )
     train, test = D.split(dataset, cfg.test_fraction, cfg.split_seed)
     sphere_train = D.project_to_sphere(train.standardized_inputs(), cfg.bias)
     sphere_test = D.project_to_sphere(test.standardized_inputs(), cfg.bias)
-    dim = sphere_train.dim
-
-    spectrum = _build_spectrum(
-        cfg.kernel, dim, cfg.max_frequency, cfg.beta0, cfg.depth,
-        cfg.lambda0, cfg.variance0, cfg.quad_order,
-    )
-    model = V.build_inducing_model(spectrum, phase_limit=cfg.phase_limit, seed=cfg.seed)
     if schema.task == "regression":
         likelihood = V.GaussianLikelihood(noise_variance=cfg.noise0)
         y_train = train.standardized_targets()
@@ -113,6 +110,9 @@ def cmd_train(args) -> int:
         seed=cfg.seed,
         log_every=cfg.log_every,
     )
+    out_root = Path(args.out) if args.out else Path(cfg.out_root)
+    run_dir = out_root / config_hash(cfg)
+    run_dir.mkdir(parents=True, exist_ok=True)
     result = V.fit(model, sphere_train.coords, y_train, likelihood, fit_cfg)
 
     scaler_pair = None

@@ -8,6 +8,10 @@ through the truncated polynomial expansion
 
     k(x, y) = variance * sum_l ((l+alpha)/alpha) * lambda_l * C_l(x . y).
 
+The spherical-harmonic features make the prior over the inducing variables
+diagonal, so the package only evaluates that sum on the diagonal, where it is
+``variance * sum_l N(l, d) lambda_l`` (``mercer_diag_value``).
+
 The ``poly_decay`` spectrum models the eigenvalues directly as ``l**-beta``
 with a trainable ``beta``; smaller ``beta`` behaves like a deeper composed
 kernel.
@@ -19,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import backend
 from .special_math import (
     clamp_inner_product,
     funk_hecke_constant,
@@ -139,10 +142,6 @@ class Spectrum:
     def max_frequency(self) -> int:
         return self.eigenvalues.size - 1
 
-    @property
-    def alpha(self) -> float:
-        return (self.dim - 2) / 2.0
-
 
 def poly_decay_spectrum(
     beta: float,
@@ -252,26 +251,6 @@ def spectrum_with(
 # ---------------------------------------------------------------------------
 # truncated Mercer evaluation
 # ---------------------------------------------------------------------------
-
-def _expansion_coeffs(spec: Spectrum) -> np.ndarray:
-    ells = np.arange(spec.max_frequency + 1, dtype=np.float64)
-    return spec.variance * spec.eigenvalues * (ells + spec.alpha) / spec.alpha
-
-
-def _coords(x, dim):
-    coords = np.asarray(x, dtype=np.float64)
-    if coords.shape[-1] != dim:
-        raise ValueError(f"point dimension {coords.shape[-1]} != spectrum dimension {dim}")
-    return coords
-
-
-def mercer_gram(spec: Spectrum, X, Y=None) -> np.ndarray:
-    """Kernel matrix of the truncated expansion between row-stacked points."""
-    X = np.atleast_2d(_coords(X, spec.dim))
-    Y = X if Y is None else np.atleast_2d(_coords(Y, spec.dim))
-    t = np.clip(X @ Y.T, -1.0, 1.0)
-    return backend.zonal_sum(_expansion_coeffs(spec), spec.alpha, t)
-
 
 def harmonic_counts(spec: Spectrum) -> np.ndarray:
     """N(l, d) as floats for every frequency l of the spectrum."""

@@ -176,9 +176,6 @@ class InducingModel:
     def feature_frequencies(self) -> np.ndarray:
         return self.basis.feature_frequencies()
 
-    def trainable_frequencies(self) -> list[int]:
-        return [fs.frequency for fs in self.basis.sets if not fs.is_full]
-
 
 def build_inducing_model(
     spectrum: K.Spectrum, phase_limit: int | None = None, seed: int = 0
@@ -285,11 +282,13 @@ def init_state(model: InducingModel, likelihood) -> VariationalState:
             if likelihood.kind == "gaussian"
             else None
         ),
-        phases={
-            ell: model.basis.set_for(ell).directions.copy()
-            for ell in model.trainable_frequencies()
-        },
+        phases=trainable_phases(model.basis),
     )
+
+
+def trainable_phases(basis: H.HarmonicBasis) -> dict[int, np.ndarray]:
+    """A copy of the directions of every block that trains: the non-full sets."""
+    return {fs.frequency: fs.directions.copy() for fs in basis.sets if not fs.is_full}
 
 
 PHASE_PREFIX = "phases_"
@@ -427,22 +426,16 @@ def _clamp_variances(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
-def predict(model, state, X, full_cov: bool = False):
-    """Posterior mean and (co)variance of the latent function at X.
+def predict(model, state, X):
+    """Posterior mean and variance of the latent function at each row of X.
 
-    Each row's mean and variance depend only on that row's features, so
-    without ``full_cov`` the rows go through blocks of ``PREDICT_ROWS``:
-    working memory is O(PREDICT_ROWS * M) whatever the number of rows, and
-    the variance check covers every row once all blocks are done.
-    ``full_cov=True`` returns an (N, N) matrix and scores all rows in one
-    block.
+    Each row's mean and variance depend only on that row's features, so the
+    rows go through blocks of ``PREDICT_ROWS``: working memory is
+    O(PREDICT_ROWS * M) whatever the number of rows, and the variance check
+    covers every row once all blocks are done.
     """
     X = np.atleast_2d(X)
     post = _posterior(model, state)
-    if full_cov:
-        rows = _posterior_rows(post, X)
-        Kmat = K.mercer_gram(post.spec, X)
-        return rows.mu, Kmat + rows.G @ rows.G.T - rows.A @ rows.F.T
     n = X.shape[0]
     mu = np.empty(n)
     v = np.empty(n)

@@ -127,14 +127,13 @@ def _expected_loglik_reference(y, mu, var, noise, link):
     return e, de_dmu, de_dvar, None
 
 
-def dense_svgp_reference(F, lam, kxx, kmat, mean, L, y, scale, noise=None, link=None):
+def dense_svgp_reference(F, lam, kxx, mean, L, y, scale, noise=None, link=None):
     """The SVGP bound and its adjoints through the dense covariance algebra.
 
     ``A = F * lam`` and q(u) = N(mean, S) against the prior N(0, diag(1/lam)).
     Everything goes through explicit ``S = L L^T``, ``C = A S``,
     ``s_bar = scale A^T diag(h) A`` (the data adjoint of S), ``s_bar @ L`` and
-    ``L^{-T}``. Returns the value, the predictive mean, variance and full
-    covariance (``kmat`` is the prior Gram at the rows of ``F``), and the
+    ``L^{-T}``. Returns the value, the predictive mean and variance, and the
     gradients with respect to the mean, the lower triangle of ``L``, the
     per-feature ``lam``, ``kxx``, the noise and ``F`` (at fixed ``lam``).
     """
@@ -158,7 +157,6 @@ def dense_svgp_reference(F, lam, kxx, kmat, mean, L, y, scale, noise=None, link=
         "value": value,
         "mu": mu,
         "var": var,
-        "cov": kmat + A @ S @ A.T - A @ F.T,
         "mean": scale * A.T @ g - lam * mean,
         "L": grad_l,
         "lam": grad_lam,
@@ -166,6 +164,24 @@ def dense_svgp_reference(F, lam, kxx, kmat, mean, L, y, scale, noise=None, link=
         "noise": None if de_dnoise is None else scale * np.sum(de_dnoise),
         "F": scale * (g[:, None] * (lam * mean) + 2.0 * h[:, None] * (lam * C - A)),
     }
+
+
+def zonal_gram(spec, X, Y=None):
+    """Prior Gram ``variance * sum_l ((l+alpha)/alpha) lambda_l C_l(x . y)``.
+
+    Rows of ``X`` against rows of ``Y`` (``X`` itself by default), with the
+    Gegenbauer polynomials from scipy.
+    """
+    from scipy.special import eval_gegenbauer
+
+    X = np.atleast_2d(X)
+    Y = X if Y is None else np.atleast_2d(Y)
+    alpha = (spec.dim - 2) / 2.0
+    t = np.clip(X @ Y.T, -1.0, 1.0)
+    return spec.variance * sum(
+        lam * (ell + alpha) / alpha * eval_gegenbauer(ell, alpha, t)
+        for ell, lam in enumerate(spec.eigenvalues)
+    )
 
 
 def phase_block_reference(X, V, ell, dim):

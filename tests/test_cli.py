@@ -160,6 +160,23 @@ class TestTrain:
         assert record["error"] == "ConfigError"
         assert not (tmp_path / "runs").exists()
 
+    def test_bad_kernel_config_fails_before_reading_data(self, tmp_path, capsys):
+        (tmp_path / "reg.schema").write_text(synthetic.regression_schema(3))
+        cfg = RunConfig(
+            kernel="composed_relu", max_frequency=5, quad_order=5,
+            data_csv=str(tmp_path / "absent.csv"), schema=str(tmp_path / "reg.schema"),
+            out_root=str(tmp_path / "runs"),
+        )
+        (tmp_path / "run.cfg").write_text(serialize_config(cfg))
+        rc = cli.main(["train", "--config", str(tmp_path / "run.cfg")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValueError"
+        assert "quad_order" in record["message"]
+        assert not (tmp_path / "runs").exists()
+
     def test_metrics_keys_regression(self, regression_run):
         _, _, run_dir = regression_run
         metrics = json.loads((run_dir / "metrics.json").read_text())
@@ -243,6 +260,29 @@ class TestEval:
         captured = capsys.readouterr()
         assert rc == 1
         lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValueError"
+        assert key in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["state_mean", "state_cov_params"])
+    def test_state_that_does_not_fit_the_basis_is_a_load_error(
+        self, regression_run, tmp_path, capsys, key
+    ):
+        _, _, run_dir = regression_run
+        with np.load(run_dir / "checkpoint.npz", allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[key] = arrays[key][:-1]
+        np.savez(tmp_path / "tampered.npz", **arrays)
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(tmp_path / "tampered.npz"),
+            "--data", str(tmp_path / "absent.csv"),
+            "--out", str(tmp_path / "out"),
+        ])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert record["error"] == "ValueError"
@@ -382,6 +422,26 @@ class TestEigvals:
         assert rc == 0
         path = next(tmp_path.glob("*.csv"))
         assert float(path.read_text().splitlines()[-1].split(",")[1]) <= 1e-3
+
+    def test_imports_no_scipy(self, tmp_path):
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from sphgp import cli\n"
+            "assert cli.main(['eigvals', '--kernel', 'poly_decay:beta=1.5',"
+            " '--kernel', 'composed_relu:depth=2', '--kernel', 'ntk:depth=2',"
+            f" '--dim', '5', '--max-frequency', '8', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert len(list(tmp_path.glob("*.csv"))) == 3
+        assert done.stdout.strip().splitlines()[-1] == "[]"
 
     def test_unknown_kernel(self, tmp_path, capsys):
         rc = cli.main([
