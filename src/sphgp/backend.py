@@ -9,6 +9,17 @@ the last, and ``gegenbauer_last_and_slope`` the last plus a running sum for
 the derivative. Each accepts an input of any shape and restores that shape
 on the way out, and all three give bit-identical values at equal degree.
 
+``gegenbauer_last`` and ``gegenbauer_last_and_slope`` run in chunks of
+``CHUNK`` elements once an input has more than ``CHUNK_ABOVE``. Every step
+is elementwise, so chunking changes no bit. What it changes is the memory
+traffic: a chunk's rotating buffers (256 KB each) stay in a 2 MB L2 cache
+for all the degrees, where full-size buffers stream from memory at every
+step. Below the threshold the buffers fit already and chunking only adds
+per-chunk overhead (a 512 x 100 input at degree 7 went from 0.70 to 0.83 ms
+with 16k-element chunks), so predict's 512-row blocks and the phase Grams
+run in one piece. The chunks call the private kernels, so a wrapper around
+a public name sees one call per input.
+
 ``gegenbauer_last_and_slope`` uses
 ``d/dt C_l^{(a)} = 2a C_{l-1}^{(a+1)} = 2 sum_{k = l-1, l-3, ...} (k + a) C_k^{(a)}``,
 so the slope is summed from the rows the value's recurrence already
@@ -21,6 +32,9 @@ The benchmark under ``perfbench/`` times ``gegenbauer_last`` as the
 from __future__ import annotations
 
 import numpy as np
+
+CHUNK = 32768  # elements per chunk: 256 KB for each rotating buffer
+CHUNK_ABOVE = 65536  # inputs of up to this many elements run in one piece
 
 
 def active_backend() -> str:
@@ -64,14 +78,61 @@ def gegenbauer_all(alpha: float, lmax: int, t) -> np.ndarray:
     return out.reshape((lmax + 1,) + t.shape)
 
 
-def gegenbauer_last(alpha: float, degree: int, t) -> np.ndarray:
-    """C_degree^{(alpha)}(t) only, with O(n) memory. Output shape matches t."""
-    t, flat = _flat(t)
+def _last(alpha: float, degree: int, flat: np.ndarray):
+    """(C_degree(flat),) for a 1-D ``flat``."""
     if degree == 0:
-        return np.ones_like(flat).reshape(t.shape)
+        return (np.ones_like(flat),)
     for _, last in _recurrence(alpha, degree, flat):
         pass
-    return last.reshape(t.shape)
+    return (last,)
+
+
+def _last_and_slope(alpha: float, degree: int, flat: np.ndarray):
+    """(C_degree(flat), its derivative) for a 1-D ``flat``; see ``gegenbauer_last_and_slope``."""
+    # imported here so that commands which never train phases (``sphgp
+    # eigvals``) do not pay for loading scipy.linalg
+    from scipy.linalg.blas import daxpy
+
+    if degree == 0 or flat.size == 0:  # (daxpy rejects empty vectors)
+        return np.ones_like(flat), np.zeros_like(flat)
+    # half the slope; when degree is odd it starts at the k = 0 term, when it
+    # is even at the k = 1 term, met on the first row
+    half = np.full_like(flat, alpha) if degree % 2 else None
+    for ell, last in _recurrence(alpha, degree, flat):
+        if ell < degree and (degree - ell) % 2 == 1:
+            if half is None:
+                half = np.multiply(ell + alpha, last)
+            else:
+                half = daxpy(last, half, a=ell + alpha)
+    half *= 2.0
+    return last, half
+
+
+def _in_chunks(kernel, alpha: float, degree: int, t):
+    """``kernel``'s outputs over all of ``t``, in the shape of ``t``.
+
+    Above ``CHUNK_ABOVE`` elements the kernel runs on ``CHUNK`` elements at
+    a time and each output is assembled from the chunks.
+    """
+    t, flat = _flat(t)
+    if flat.size <= CHUNK_ABOVE:
+        outs = kernel(alpha, degree, flat)
+    else:
+        outs = None
+        for start in range(0, flat.size, CHUNK):
+            part = kernel(alpha, degree, flat[start:start + CHUNK])
+            if outs is None:
+                outs = [np.empty_like(flat) for _ in part]
+            for out, p in zip(outs, part):
+                out[start:start + CHUNK] = p
+    # a list first: ``tuple`` of a generator over-allocates, and the block it
+    # shrinks to piles up in CPython's tuple free list, one per call
+    return tuple([out.reshape(t.shape) for out in outs])
+
+
+def gegenbauer_last(alpha: float, degree: int, t) -> np.ndarray:
+    """C_degree^{(alpha)}(t) only, with O(n) memory. Output shape matches t."""
+    return _in_chunks(_last, alpha, degree, t)[0]
 
 
 def gegenbauer_last_and_slope(alpha: float, degree: int, t):
@@ -85,21 +146,4 @@ def gegenbauer_last_and_slope(alpha: float, degree: int, t):
     other degree instead of a second recurrence. At t = +-1 the summed terms
     share one sign, so nothing cancels. Output shapes match t.
     """
-    # imported here so that commands which never train phases (``sphgp
-    # eigvals``) do not pay for loading scipy.linalg
-    from scipy.linalg.blas import daxpy
-
-    t, flat = _flat(t)
-    if degree == 0 or flat.size == 0:  # (daxpy rejects empty vectors)
-        return np.ones_like(flat).reshape(t.shape), np.zeros_like(flat).reshape(t.shape)
-    # half the slope; when degree is odd it starts at the k = 0 term, when it
-    # is even at the k = 1 term, met on the first row
-    half = np.full_like(flat, alpha) if degree % 2 else None
-    for ell, last in _recurrence(alpha, degree, flat):
-        if ell < degree and (degree - ell) % 2 == 1:
-            if half is None:
-                half = np.multiply(ell + alpha, last)
-            else:
-                half = daxpy(last, half, a=ell + alpha)
-    half *= 2.0
-    return last.reshape(t.shape), half.reshape(t.shape)
+    return _in_chunks(_last_and_slope, alpha, degree, t)

@@ -60,11 +60,17 @@ def _state_from_arrays(arrays: dict, basis: H.HarmonicBasis) -> V.VariationalSta
                 f"checkpoint {key} has {arrays[key].size} entries but its basis of "
                 f"{m} features needs {size}"
             )
-    state = V.unpack_state({
-        key[len("state_"):]: value
-        for key, value in arrays.items()
-        if key.startswith("state_") and not (value.ndim == 0 and np.isnan(value))
-    })
+    absent = {f"state_{key}" for key in V.OPTIONAL_BLOCKS}
+    packed = {}
+    for key, value in arrays.items():
+        if not key.startswith("state_"):
+            continue
+        if key in absent and value.ndim == 0 and np.isnan(value):
+            continue
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"checkpoint {key} holds non-finite values")
+        packed[key[len("state_"):]] = value
+    state = V.unpack_state(packed)
     state.phases = V.trainable_phases(basis)
     return state
 

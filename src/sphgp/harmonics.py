@@ -65,6 +65,7 @@ class FundamentalSet:
     directions: np.ndarray  # (m, d), unit rows
     gram_chol: np.ndarray  # (m, m), lower triangular
     jitter: float  # diagonal jitter the factorization needed, 0.0 if none
+    gram_slope: np.ndarray | None = None  # (m, m) d/dt C_ell(V V^T), if asked for
 
     @property
     def dim(self) -> int:
@@ -184,15 +185,27 @@ def build_fundamental_set(ell: int, dim: int, num_phases: int, seed: int = 0) ->
     )
 
 
-def fundamental_set(ell: int, V: np.ndarray, dim: int) -> FundamentalSet:
+def fundamental_set(ell: int, V: np.ndarray, dim: int, slope: bool = False) -> FundamentalSet:
     """The block for unit directions ``V``: ``fundamental_gram`` and its Cholesky.
 
     A Gram that fails to factor gets the smallest jitter from a fixed ladder
     (relative to trace/m), recorded on the set but not logged, since training
     refactors every step; ``warn_jitter`` reports a finished basis.
+
+    With ``slope`` the set also keeps ``gram_slope``, d/dt C_ell at the
+    Gram's cosines, taken from the Gram's own recurrence; the phase
+    gradients need it, scoring rows does not.
     """
-    chol, jitter = _chol_with_jitter(fundamental_gram(V, ell, dim))
-    return FundamentalSet(frequency=ell, directions=V, gram_chol=chol, jitter=jitter)
+    if slope:
+        t = direction_cosines(V)
+        c, gram_slope = backend.gegenbauer_last_and_slope(alpha_for_dim(dim), ell, t)
+        gram = addition_scale(ell, dim) * c
+    else:
+        gram, gram_slope = fundamental_gram(V, ell, dim), None
+    chol, jitter = _chol_with_jitter(gram)
+    return FundamentalSet(
+        frequency=ell, directions=V, gram_chol=chol, jitter=jitter, gram_slope=gram_slope
+    )
 
 
 @dataclass(frozen=True)
@@ -232,12 +245,6 @@ class HarmonicBasis:
         for fs in self.sets:
             yield fs.frequency, slice(col, col + fs.num_phases), fs
             col += fs.num_phases
-
-    def set_for(self, ell: int) -> FundamentalSet:
-        for fs in self.sets:
-            if fs.frequency == ell:
-                return fs
-        raise KeyError(f"no fundamental set at frequency {ell}")
 
 
 def warn_jitter(basis: HarmonicBasis) -> HarmonicBasis:

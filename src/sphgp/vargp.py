@@ -33,15 +33,30 @@ and ``predict`` passes blocks of ``PREDICT_ROWS`` rows.
 ``_basis_at`` refactors each block of ``state.phases`` with
 ``harmonics.fundamental_set``, as building and loading do, so a state whose
 phases equal the basis directions scores exactly like a frozen one
-(``phases={}``). The phase gradients ride on the feature pass:
+(``phases={}``). The phase gradients ride on passes that happen anyway.
 ``harmonics.features`` returns the slope ``d/dt C_l(t)`` at the same
-``t = X V^T`` as the values, from the same recurrence, for the frequencies
-``elbo_gradients`` names (those of ``state.phases``); ``predict`` and
-``elbo`` name none. Each block's feature adjoint is built in place on its
-columns of ``A S``, and every triangular solve is one BLAS ``trsm``.
-The lower triangle of the covariance factor is packed and unpacked row by
-row through a cached boolean mask, and Adam updates its moments and the
-parameters in place.
+``t = X V^T`` as the values, from the same recurrence, and the refactored
+block keeps ``d/dt C_l(V V^T)`` from its Gram's recurrence (the shared
+Gram slope). Both are taken only for the frequencies ``elbo_gradients``
+names (those of ``state.phases``); ``predict`` and ``elbo`` name none.
+Every triangular solve is one BLAS ``trsm``.
+
+One gradient step keeps only what it still needs, and its elementwise work
+runs over cache-sized blocks (``PASS_BYTES`` per operand), where a
+full-size pass would stream arrays far larger than L2 from memory:
+
+- ``T`` is scaled in place and dropped after its last use, the lambda
+  adjoint. The factor's gradient is built on the packed triangle, one row
+  block at a time (``_cov_gradient``), so no dense M x M adjoint exists.
+- ``C = A S = G L^T`` is written over ``G``, which is dead by then, and one
+  row-chunked pass turns the trained columns of ``C`` into the feature
+  adjoint ``Fbar`` of every trained block at once.
+- Adam steps the packed factor in slices of ``ADAM_SLICE`` elements.
+
+All of these keep each value's operations and their order, so the results
+are bit-identical to the unchunked expressions. The lower triangle of the
+covariance factor is packed and unpacked row by row through a cached
+boolean mask, and Adam updates its moments and the parameters in place.
 """
 
 from __future__ import annotations
@@ -55,7 +70,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.special import expit, log_ndtr
 
-from . import backend
+from . import backend  # noqa: F401  (tests patch the recurrence as ``vargp.backend``)
 from . import harmonics as H
 from . import kernels as K
 from .special_math import num_harmonics
@@ -65,6 +80,7 @@ log = logging.getLogger(__name__)
 BETA_BOUNDS = (0.05, 10.0)
 VAR_CLAMP = 1e-10  # predictive variances in [-VAR_CLAMP, 0] clamp; below aborts
 PREDICT_ROWS = 512  # rows per predict block: F, A and G of one block fit in cache
+PASS_BYTES = 256 << 10  # one operand's block in an elementwise pass over a large array
 EIG_FLOOR = 1e-12  # eigenvalues at or below this (relative to max) count as zero
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(20)
@@ -347,10 +363,13 @@ def _lambda_per_feature(model: InducingModel, spectrum: K.Spectrum) -> np.ndarra
     return lam
 
 
-def _basis_at(basis: H.HarmonicBasis, phases: dict) -> H.HarmonicBasis:
-    """The basis with each block named in ``phases`` refactored at those directions."""
+def _basis_at(basis: H.HarmonicBasis, phases: dict, slopes: bool = False) -> H.HarmonicBasis:
+    """The basis with each block named in ``phases`` refactored at those directions.
+
+    With ``slopes`` each refactored block keeps its ``gram_slope``.
+    """
     sets = tuple(
-        H.fundamental_set(fs.frequency, phases[fs.frequency], basis.dim)
+        H.fundamental_set(fs.frequency, phases[fs.frequency], basis.dim, slope=slopes)
         if fs.frequency in phases
         else fs
         for fs in basis.sets
@@ -363,9 +382,9 @@ def _times_factor(B: np.ndarray, L: np.ndarray) -> np.ndarray:
     return dtrmm(1.0, L.T, B.T).T
 
 
-def _times_factor_t(B: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """B @ L.T for lower-triangular L, as one BLAS trmm on Fortran-ordered views."""
-    return dtrmm(1.0, L.T, B.T, trans_a=1).T
+def _times_factor_t_over(B: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """B @ L.T for lower-triangular L, written over the C-ordered ``B`` by one BLAS trmm."""
+    return dtrmm(1.0, L.T, B.T, trans_a=1, overwrite_b=1).T
 
 
 @dataclass
@@ -385,19 +404,19 @@ class _Posterior:
 class _Rows:
     F: np.ndarray  # (N, M) features
     A: np.ndarray  # (N, M) lam * F
-    G: np.ndarray  # (N, M) A @ L; G G^T = A S A^T
+    G: np.ndarray  # (N, M) A @ L; G G^T = A S A^T (the phase gradients overwrite it)
     mu: np.ndarray
     v: np.ndarray  # unclamped predictive variance
     slopes: dict  # trained block -> d/dt C_l at t = X V^T (only when asked for)
 
 
-def _posterior(model, state) -> _Posterior:
+def _posterior(model, state, slopes: bool = False) -> _Posterior:
     spec = _effective_spectrum(model, state)
     L = state.cov_factor()
     return _Posterior(
         spec=spec,
         lam=_lambda_per_feature(model, spec),
-        basis=_basis_at(model.basis, state.phases),
+        basis=_basis_at(model.basis, state.phases, slopes=slopes),
         L=L,
         s_diag=np.einsum("ij,ij->i", L, L),
         mean=state.mean,
@@ -477,7 +496,7 @@ def _elbo_batch(model, state, X, y, likelihood, n_total: int, slopes=()) -> _Bat
         raise ValueError("batch must be non-empty")
     if n_total < X.shape[0]:
         raise ValueError("n_total must be at least the batch size")
-    post = _posterior(model, state)
+    post = _posterior(model, state, slopes=bool(slopes))
     rows = _posterior_rows(post, X, slopes=slopes)
     v = _clamp_variances(rows.v)
     e, g, h, dnoise = _expected_loglik(likelihood, y, rows.mu, v, state.noise_variance)
@@ -512,6 +531,35 @@ def _chol_asym_backward(L: np.ndarray, Lbar: np.ndarray) -> np.ndarray:
     return R + R.T
 
 
+def _pass_rows(width: int) -> int:
+    """Rows of a ``width``-column float64 block that fill ``PASS_BYTES``."""
+    return max(1, PASS_BYTES // (8 * width))
+
+
+def _cov_gradient(T: np.ndarray, L: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The covariance parameters' gradient, packed like ``cov_params``.
+
+    It is the lower triangle of ``2 T - lam_i L_ij`` with ``1 / L_ii`` added
+    on the diagonal, whose entries are then scaled by ``L_ii`` for the
+    log-space diagonal. Row blocks of the triangle are formed in cache and
+    gathered straight into the packed result, so no M x M array is made.
+    """
+    m = lam.size
+    mask = _tril_mask(m)
+    out = np.empty(m * (m + 1) // 2)
+    step = _pass_rows(m)
+    for i0 in range(0, m, step):
+        i1 = min(i0 + step, m)
+        block = np.multiply(T[i0:i1, :i1], 2.0)
+        block -= lam[i0:i1, None] * L[i0:i1, :i1]
+        out[i0 * (i0 + 1) // 2:i1 * (i1 + 1) // 2] = block[mask[i0:i1, :i1]]
+    l_diag = np.diag(L)
+    diag = _diag_positions(m)
+    out[diag] += 1.0 / l_diag
+    out[diag] *= l_diag
+    return out
+
+
 def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     """ELBO value and its exact gradient, keyed like ``pack_state(state)``.
 
@@ -521,7 +569,6 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     X, post, scale, g, h = batch.X, batch.post, batch.scale, batch.g, batch.h
     lam, L, F, A, G = post.lam, post.L, batch.rows.F, batch.rows.A, batch.rows.G
     mean = state.mean
-    m_dim = lam.size
 
     # mean
     grads = {"mean": scale * (A.T @ g) - lam * mean}
@@ -529,22 +576,19 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
     # covariance factor (log-diagonal parameterization). With the data
     # adjoint s_bar = scale A^T diag(h) A of S, T = s_bar L = scale A^T (h G),
     # and the lower triangle of the KL term's L^{-T} is diag(1 / L_ii).
-    T = scale * (A.T @ (h[:, None] * G))
-    l_diag = np.diag(L)
-    Lbar = 2.0 * T - lam[:, None] * L
-    Lbar[np.diag_indices(m_dim)] += 1.0 / l_diag
-    g_cov = Lbar[_tril_mask(m_dim)]
-    g_cov[_diag_positions(m_dim)] *= l_diag
-    grads["cov_params"] = g_cov
+    work = h[:, None] * G  # (N, M) scratch, then F * F for the lambda adjoint
+    T = A.T @ work
+    T *= scale
+    ffh = scale * (np.multiply(F, F, out=work).T @ h)
+    del work
+    grads["cov_params"] = _cov_gradient(T, L, lam)
 
     # per-feature lambda adjoint (data + KL), then chain into hypers;
     # rowsum(T * L) / lam = scale sum_i h_i F_ij (A S)_ij
-    g_lam = (
-        scale * (F.T @ g) * mean
-        + 2.0 * np.einsum("ij,ij->i", T, L) / lam
-        - scale * ((F * F).T @ h)
-        - 0.5 * (post.s_diag + mean * mean - 1.0 / lam)
-    )
+    g_lam = scale * (F.T @ g) * mean + 2.0 * np.einsum("ij,ij->i", T, L) / lam
+    del T
+    g_lam -= ffh
+    g_lam -= 0.5 * (post.s_diag + mean * mean - 1.0 / lam)
     h_total = scale * float(np.sum(h))
 
     grads["log_variance"] = np.asarray(np.dot(g_lam, lam) + h_total * post.kxx)
@@ -563,35 +607,52 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
             scale * float(np.sum(batch.dnoise)) * state.noise_variance
         )
 
-    # phases of truncated frequencies. The adjoint of a block's features is
-    # Fbar_b = scale (g (lam m)_b^T + 2 h (lam_b (A S)_b - A_b)); each trained
-    # block builds it in place on its columns of A S.
     if state.phases:
-        C = _times_factor_t(G, L)  # A S
-        lam_mean = lam * mean
-        h2 = 2.0 * h[:, None]
-        alpha = H.alpha_for_dim(model.basis.dim)
-        for ell, cols, fs in post.basis.blocks():
-            if ell not in state.phases:
-                continue
-            V, L_A = fs.directions, fs.gram_chol
-            sc = H.addition_scale(ell, model.basis.dim)
-            Fbar_b = C[:, cols]
-            Fbar_b *= lam[cols]
-            Fbar_b -= A[:, cols]
-            Fbar_b *= h2
-            Fbar_b += g[:, None] * lam_mean[cols]
-            Fbar_b *= scale
-            abar = dtrsm(1.0, L_A, Fbar_b, side=1, lower=1)  # Fbar_b L_A^{-1}
-            asym = _chol_asym_backward(L_A, -(abar.T @ F[:, cols]))
-            t_vv = H.direction_cosines(V)
-            w_mat = asym * backend.gegenbauer_last_and_slope(alpha, ell, t_vv)[1]
-            np.fill_diagonal(w_mat, 0.0)
-            grad_v = sc * (w_mat @ V)
-            grad_v += sc * ((abar * batch.rows.slopes[ell]).T @ X)
-            grads[f"{PHASE_PREFIX}{ell}"] = grad_v
-
+        grads.update(_phase_gradients(batch))
     return batch.value, grads
+
+
+def _phase_gradients(batch: _Batch) -> dict:
+    """Gradients of the trained phase blocks; overwrites ``batch.rows.G``.
+
+    The adjoint of a block's features is
+    ``Fbar_b = scale (g (lam m)_b^T + 2 h (lam_b (A S)_b - A_b))``. ``A S =
+    G L^T`` is written over ``G``, then one row-chunked pass turns every
+    column from the first trained block on into ``Fbar``. The trained blocks
+    are the truncated frequencies, which form a column suffix because
+    N(l, d) grows with l, so the pass spends nothing on frozen columns. Each
+    block's Gram term uses the slope its refactoring kept.
+    """
+    X, post, scale, g, h = batch.X, batch.post, batch.scale, batch.g, batch.h
+    lam, A, F, G = post.lam, batch.rows.A, batch.rows.F, batch.rows.G
+    trained = [blk for blk in post.basis.blocks() if blk[0] in batch.rows.slopes]
+    j0 = trained[0][1].start
+    Fbar = _times_factor_t_over(G, post.L)  # A S; its trained columns become Fbar
+    lam_t, lam_mean_t = lam[j0:], (lam * post.mean)[j0:]
+    A_t = A[:, j0:]
+    step = _pass_rows(lam_t.size)
+    for r0 in range(0, Fbar.shape[0], step):
+        r = slice(r0, r0 + step)
+        block = Fbar[r, j0:]
+        block *= lam_t
+        block -= A_t[r]
+        block *= 2.0 * h[r, None]
+        block += g[r, None] * lam_mean_t
+        block *= scale
+
+    dim = post.basis.dim
+    grads = {}
+    for ell, cols, fs in trained:
+        V, L_A = fs.directions, fs.gram_chol
+        sc = H.addition_scale(ell, dim)
+        abar = dtrsm(1.0, L_A, Fbar[:, cols], side=1, lower=1)  # Fbar_b L_A^{-1}
+        asym = _chol_asym_backward(L_A, -(abar.T @ F[:, cols]))
+        w_mat = asym * fs.gram_slope
+        np.fill_diagonal(w_mat, 0.0)
+        grad_v = sc * (w_mat @ V)
+        grad_v += sc * ((abar * batch.rows.slopes[ell]).T @ X)
+        grads[f"{PHASE_PREFIX}{ell}"] = grad_v
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +679,7 @@ class TrainResult:
 
 _VARIATIONAL_KEYS = ("mean", "cov_params")
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
+ADAM_SLICE = PASS_BYTES // 8  # elements per Adam slice
 
 
 def _adam_step(param, m, v, grad, lr: float, corr1: float, corr2: float) -> None:
@@ -628,7 +690,15 @@ def _adam_step(param, m, v, grad, lr: float, corr1: float, corr2: float) -> None
     ``param + lr (m / corr1) / (sqrt(v / corr2) + eps)``, so the result is
     bit-identical to evaluating those expressions, without their
     temporaries. Every argument is an ndarray; ``out=`` keeps 0-d blocks 0-d.
+    A 1-D block longer than ``ADAM_SLICE`` (the packed covariance factor)
+    goes slice by slice, so that the six operands of a slice stay in cache
+    across the passes.
     """
+    if param.ndim == 1 and param.size > ADAM_SLICE:
+        for start in range(0, param.size, ADAM_SLICE):
+            part = slice(start, start + ADAM_SLICE)
+            _adam_step(param[part], m[part], v[part], grad[part], lr, corr1, corr2)
+        return
     tmp = np.multiply(1.0 - _B1, grad, out=np.empty_like(grad))
     m *= _B1
     m += tmp

@@ -10,3 +10,9 @@ def random_sphere(rng, n, dim):
 @pytest.fixture
 def sphere_points():
     return random_sphere
+
+
+def set_at(basis, ell):
+    """The basis's fundamental set of frequency ``ell``."""
+    (fs,) = [fs for fs in basis.sets if fs.frequency == ell]
+    return fs

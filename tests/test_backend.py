@@ -9,10 +9,13 @@ rng = np.random.default_rng(11)
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.5, 5.0, 38.0])
 @pytest.mark.parametrize(
-    "shape", [(57,), (9, 13), (), (0, 3)], ids=["1d", "2d", "0d", "empty"]
+    "shape",
+    [(57,), (9, 13), (), (0, 3), (backend.CHUNK_ABOVE + 1,), (3, 30011)],
+    ids=["1d", "2d", "0d", "empty", "chunked-1d", "chunked-2d"],
 )
 def test_last_is_bit_identical_to_table_row(alpha, shape):
-    # the in-place recurrence keeps the table's order of operations exactly
+    # the in-place recurrence keeps the table's order of operations exactly,
+    # also in chunks (the last of each chunked shape is ragged)
     t = np.random.default_rng(3).uniform(-1, 1, size=shape)
     for degree in range(17):
         last = backend.gegenbauer_last(alpha, degree, t)
@@ -53,3 +56,29 @@ def test_last_and_slope_at_degree_zero_and_on_no_points():
     assert np.array_equal(slope, np.zeros_like(t))
     value, slope = backend.gegenbauer_last_and_slope(2.0, 4, np.empty((0, 3)))
     assert value.shape == slope.shape == (0, 3)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 15])
+def test_chunked_value_and_slope_are_bit_identical(degree, monkeypatch):
+    t = np.random.default_rng(6).uniform(-1, 1, size=(5, 20011))
+    assert t.size > backend.CHUNK_ABOVE and t.size % backend.CHUNK
+    chunked = backend.gegenbauer_last_and_slope(4.5, degree, t)
+    monkeypatch.setattr(backend, "CHUNK_ABOVE", t.size)
+    whole = backend.gegenbauer_last_and_slope(4.5, degree, t)
+    for got, want in zip(chunked, whole):
+        assert got.shape == t.shape
+        assert np.array_equal(got, want)
+
+
+def test_chunks_do_not_call_the_public_name(monkeypatch):
+    # a wrapper on the module attribute (the benchmark's trace) sees one call
+    calls = []
+    inner = backend.gegenbauer_last
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(backend, "gegenbauer_last", counted)
+    backend.gegenbauer_last(2.0, 5, np.zeros(4 * backend.CHUNK))
+    assert len(calls) == 1

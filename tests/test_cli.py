@@ -266,6 +266,39 @@ class TestEval:
         assert key in record["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("state_mean", np.nan),
+            ("state_cov_params", np.inf),
+            ("state_log_variance", -np.inf),
+            ("state_log_noise", np.inf),
+        ],
+    )
+    def test_non_finite_state_is_a_load_error(self, regression_run, tmp_path, capsys, key, value):
+        # without the check a NaN mean scores nan on every row and an inf
+        # factor entry scores a constant, both with exit code 0
+        tmp, _, run_dir = regression_run
+        with np.load(run_dir / "checkpoint.npz", allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        tampered = arrays[key].copy()
+        tampered.reshape(-1)[0] = value
+        arrays[key] = tampered
+        np.savez(tmp_path / "tampered.npz", **arrays)
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(tmp_path / "tampered.npz"),
+            "--data", str(tmp / "reg.csv"),
+            "--out", str(tmp_path / "out"),
+        ])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValueError"
+        assert key in record["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["state_mean", "state_cov_params"])
     def test_state_that_does_not_fit_the_basis_is_a_load_error(
         self, regression_run, tmp_path, capsys, key

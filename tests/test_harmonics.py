@@ -6,7 +6,7 @@ from sphgp import harmonics as H
 from sphgp.special_math import gegenbauer_at_one, gegenbauer_table, num_harmonics
 
 import oracles
-from conftest import random_sphere
+from conftest import random_sphere, set_at
 
 
 def addition_rhs(ell, dim, t):
@@ -263,5 +263,5 @@ class TestBasisStructure:
         arrays["basis_V_1"] = np.array([[0.6, 0.8, 0.0], [0.6, 0.8, 0.0]])
         with caplog.at_level("WARNING"):
             loaded = H.basis_from_arrays(arrays)
-        assert loaded.set_for(1).jitter > 0
+        assert set_at(loaded, 1).jitter > 0
         assert any("jitter" in rec.message for rec in caplog.records)

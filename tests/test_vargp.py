@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sphgp import backend
 from sphgp import harmonics as H
 from sphgp import kernels as K
 from sphgp import vargp as V
 
 import oracles
-from conftest import random_sphere
+from conftest import random_sphere, set_at
 
 
 @pytest.fixture(scope="module")
@@ -369,10 +372,10 @@ class TestFit:
         res = V.fit(truncated_model, X, y, lik, cfg)
         for ell, Vmat in res.state.phases.items():
             assert np.allclose(np.linalg.norm(Vmat, axis=1), 1.0, atol=1e-12)
-            assert np.array_equal(Vmat, res.model.basis.set_for(ell).directions)
+            assert np.array_equal(Vmat, set_at(res.model.basis, ell).directions)
         # phases actually moved
         assert any(
-            not np.array_equal(res.state.phases[ell], truncated_model.basis.set_for(ell).directions)
+            not np.array_equal(res.state.phases[ell], set_at(truncated_model.basis, ell).directions)
             for ell in res.state.phases
         )
 
@@ -385,7 +388,7 @@ class TestFit:
         res = V.fit(truncated_model, X, y, lik, cfg)
         assert res.state.phases
         for ell, Vmat in res.state.phases.items():
-            got = res.model.basis.set_for(ell)
+            got = set_at(res.model.basis, ell)
             want = H.fundamental_set(ell, Vmat, 4)
             assert np.array_equal(got.directions, want.directions)
             assert np.array_equal(got.gram_chol, want.gram_chol)
@@ -413,8 +416,14 @@ class TestFit:
         lo, hi = V.BETA_BOUNDS
         assert lo <= res.state.beta <= hi
 
-    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)], ids=["0d", "1d", "2d"])
-    def test_adam_step_matches_textbook_update(self, shape):
+    @pytest.mark.parametrize(
+        "shape, adam_slice",
+        [((), None), ((7,), None), ((3, 4), None), ((1000,), 64)],
+        ids=["0d", "1d", "2d", "1d-in-slices"],
+    )
+    def test_adam_step_matches_textbook_update(self, shape, adam_slice, monkeypatch):
+        if adam_slice is not None:  # 1000 = 15 slices of 64 and a ragged 40
+            monkeypatch.setattr(V, "ADAM_SLICE", adam_slice)
         rng = np.random.default_rng(22)
         param, m, grad = (np.asarray(rng.standard_normal(shape)) for _ in range(3))
         v = np.asarray(rng.uniform(0.1, 1.0, shape))
@@ -426,6 +435,55 @@ class TestFit:
         for got, ref in ((param, p_ref), (m, m_ref), (v, v_ref)):
             assert isinstance(got, np.ndarray) and got.shape == shape
             assert np.array_equal(got, ref)
+
+
+class TestLeanStep:
+    """The gradient step's cache-sized passes and its memory."""
+
+    @pytest.mark.parametrize("lik", [V.GaussianLikelihood(0.1), V.BernoulliLikelihood("logit")])
+    def test_gradients_do_not_depend_on_chunk_sizes(self, truncated_model, lik, monkeypatch):
+        rng = np.random.default_rng(31)
+        state, _ = random_state(truncated_model, rng, lik)
+        assert state.phases
+        X = random_sphere(rng, 300, 4)
+        y = (rng.uniform(size=300) < 0.5).astype(float)
+        results = []
+        for chunk, above, pass_bytes in ((7, 0, 8), (5, 100, 200), (2**40, 2**40, 2**40)):
+            monkeypatch.setattr(backend, "CHUNK", chunk)
+            monkeypatch.setattr(backend, "CHUNK_ABOVE", above)
+            monkeypatch.setattr(V, "PASS_BYTES", pass_bytes)
+            results.append(V.elbo_gradients(truncated_model, state, X, y, lik, 1000))
+        (value, grads), others = results[0], results[1:]
+        for other_value, other_grads in others:
+            assert other_value == value
+            assert other_grads.keys() == grads.keys()
+            for key in grads:
+                assert np.array_equal(other_grads[key], grads[key]), key
+
+    def test_peak_memory_of_one_gradient_call(self):
+        # The live set at the peak is L, T and the packed factor gradient
+        # (2.5 M^2), then F, A, G, the trained blocks' slopes and one N x M
+        # scratch (< 5 N M), plus at most three cache-sized pass blocks. A
+        # dense M x M adjoint of the factor (2 T - lam L) adds 2-3 M^2 and fails.
+        spec = K.poly_decay_spectrum(1.0, 8, 8)
+        model = V.build_inducing_model(spec, phase_limit=60, seed=0)
+        m, n = model.num_features, 256
+        assert m == 404
+        rng = np.random.default_rng(32)
+        lik = V.GaussianLikelihood(0.1)
+        state, _ = random_state(model, rng, lik)
+        assert len(state.phases) == 6
+        X = random_sphere(rng, n, 8)
+        y = rng.standard_normal(n)
+        V.elbo_gradients(model, state, X, y, lik, n)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            V.elbo_gradients(model, state, X, y, lik, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (2.5 * m * m + 5 * n * m) + 3 * V.PASS_BYTES
+        assert peak <= bound, (peak / (8 * m * m), peak / (8 * n * m))
 
 
 class TestEvaluate:
