@@ -16,7 +16,7 @@ from . import vargp as V
 from .data_io import Scaler
 
 CHECKPOINT_VERSION = 1
-_MOMENTS = ("m", "v")  # Adam's first and second moments, each keyed like V.pack_state
+_MOMENTS = ("m", "v")  # Adam's first and second moments, keyed like the blocks Adam trains
 
 
 @dataclass

@@ -35,8 +35,8 @@ class RunConfig:
     split_seed: int = 0
     iterations: int = 300
     batch_size: int = 256
-    lr_variational: float = 0.01
-    lr_hyper: float = 0.001
+    lr_variational: float = 0.01  # q(u)'s natural-gradient step size, in (0, 1]
+    lr_hyper: float = 0.001  # Adam's step size for the hyperparameters and phases
     log_every: int = 1
     seed: int = 0
     quad_order: int = 0  # 0 picks the default for the frequency cutoff
@@ -62,7 +62,11 @@ class RunConfig:
             raise ConfigError("test_fraction must be in (0, 1)")
         if self.iterations < 0 or self.batch_size < 1 or self.log_every < 1:
             raise ConfigError("invalid optimizer settings")
-        _require_positive("lr_variational", self.lr_variational)
+        if not 0.0 < self.lr_variational <= 1.0:
+            raise ConfigError(
+                "lr_variational is the natural-gradient step size of q(u) and must be "
+                f"in (0, 1], got {self.lr_variational}"
+            )
         _require_positive("lr_hyper", self.lr_hyper)
         if self.quad_order < 0:
             raise ConfigError(f"quad_order must be >= 0, got {self.quad_order}")

@@ -18,10 +18,9 @@ the finite-difference suite in the tests is the contract for the gradients.
 
 ``S`` itself is never formed. For a batch, with ``A`` the (N, M) rows of
 ``Phi``, every covariance term goes through ``G = A L``: the variance term
-is ``rowsum(G^2)``, the data part of the factor gradient is ``A^T (h * G)``,
-and ``A S = G L^T`` is built only when phases train. Both triangular
-products are BLAS ``trmm`` calls, so one gradient evaluation costs
-O(N M^2) whether M is below or above N.
+is ``rowsum(G^2)``, and ``C = A S = G L^T`` (one more BLAS ``trmm``, written
+over ``G``) carries the lambda adjoint and the phase gradients. One
+gradient evaluation costs O(N M^2) whether M is below or above N.
 
 The posterior is computed in two parts. The per-state part (``_posterior``:
 the effective spectrum, ``lam``, the basis at the state's phases, ``L`` and
@@ -41,22 +40,31 @@ Gram slope). Both are taken only for the frequencies ``elbo_gradients``
 names (those of ``state.phases``); ``predict`` and ``elbo`` name none.
 Every triangular solve is one BLAS ``trsm``.
 
-One gradient step keeps only what it still needs, and its elementwise work
-runs over cache-sized blocks (``PASS_BYTES`` per operand), where a
-full-size pass would stream arrays far larger than L2 from memory:
+Training. ``fit`` steps q(u) by natural gradients (Hensman et al. 2013;
+Salimbeni et al. 2018) and everything else by Adam. With ``g`` and ``h``
+the likelihood's derivatives with respect to each row's predictive mean
+``mu`` and variance, and ``gamma = lr_variational``, one step is
 
-- ``T`` is scaled in place and dropped after its last use, the lambda
-  adjoint. The factor's gradient is built on the packed triangle, one row
-  block at a time (``_cov_gradient``), so no dense M x M adjoint exists.
-- ``C = A S = G L^T`` is written over ``G``, which is dead by then, and one
-  row-chunked pass turns the trained columns of ``C`` into the feature
-  adjoint ``Fbar`` of every trained block at once.
-- Adam steps the packed factor in slices of ``ADAM_SLICE`` elements.
+    P      <- (1 - gamma) P + gamma (diag(lam) - 2 scale A^T diag(h) A)
+    theta1 <- (1 - gamma) theta1 + gamma scale A^T (g - 2 h mu)
 
-All of these keep each value's operations and their order, so the results
-are bit-identical to the unchunked expressions. The lower triangle of the
-covariance factor is packed and unpacked row by row through a cached
-boolean mask, and Adam updates its moments and the parameters in place.
+in the natural parameters ``P = S^{-1}`` and ``theta1 = P m`` (``NaturalQ``),
+which exist only during a fit. ``h <= 0`` in exact arithmetic; its rounding
+is clamped, so each step keeps ``P`` positive definite for any gamma in
+(0, 1]. The update is in place: after ``A``'s last use its rows are scaled
+by ``sqrt(-2 scale gamma h)`` and one BLAS ``syrk`` adds ``A^T A`` into
+``P`` with ``beta = 1 - gamma``. The lower factor of ``S`` comes from
+``P`` in reversed index order, ``J P J = R R^T`` (``potrf``), then
+``L = J R^{-T} J`` (``trtri``), all in one reused M x M buffer, so a step
+allocates no M x M array. The Euclidean gradients of ``mean`` and
+``cov_params`` (for the gradient check) are derived from the same step's
+targets.
+
+The elementwise passes over the batch run over cache-sized row blocks
+(``PASS_BYTES`` per operand), where a full-size pass would stream arrays
+far larger than L2 from memory. The lower triangle of the covariance factor
+is packed and unpacked row by row through a cached boolean mask, and Adam
+updates its moments and the parameters in place.
 """
 
 from __future__ import annotations
@@ -67,10 +75,10 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.linalg.blas import dsymm, dsymv, dsyrk, dtrmm, dtrmv, dtrsm
+from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 from scipy.special import expit, log_ndtr
 
-from . import backend  # noqa: F401  (tests patch the recurrence as ``vargp.backend``)
 from . import harmonics as H
 from . import kernels as K
 from .special_math import num_harmonics
@@ -219,11 +227,13 @@ class VariationalState:
 
     ``cov_params`` packs the lower triangle of the covariance factor row by
     row with the diagonal stored as logs, which keeps S positive definite
-    under unconstrained steps.
+    under unconstrained steps. It is ``None`` only in the states ``fit``
+    passes to ``elbo_gradients`` together with a ``NaturalQ``, which then
+    holds q(u).
     """
 
     mean: np.ndarray
-    cov_params: np.ndarray
+    cov_params: np.ndarray | None
     log_variance: float
     log_beta: float | None = None
     log_noise: float | None = None
@@ -314,16 +324,20 @@ OPTIONAL_BLOCKS = ("log_beta", "log_noise")
 def pack_state(state: VariationalState) -> dict[str, np.ndarray]:
     """Each trainable block of the state as a float64 array (a copy), by key.
 
-    The keys are ``mean``, ``cov_params`` and ``log_variance``, then each of
-    ``OPTIONAL_BLOCKS`` the state has, then ``phases_<l>`` per trained
-    frequency; scalars are 0-d arrays. ``elbo_gradients``, the Adam moments
-    in ``fit`` and the checkpoint use the same keys.
+    The keys are ``mean`` and ``cov_params``, then those of
+    ``_adam_blocks``; scalars are 0-d arrays. ``elbo_gradients`` and the
+    checkpoint use the same keys.
     """
-    params = {
-        "mean": state.mean.copy(),
-        "cov_params": state.cov_params.copy(),
-        "log_variance": np.asarray(state.log_variance, dtype=np.float64),
-    }
+    return {"mean": state.mean.copy(), "cov_params": state.cov_params.copy(), **_adam_blocks(state)}
+
+
+def _adam_blocks(state: VariationalState) -> dict[str, np.ndarray]:
+    """The blocks Adam trains, packed as ``pack_state`` does.
+
+    ``log_variance``, then each of ``OPTIONAL_BLOCKS`` the state has, then
+    ``phases_<l>`` per trained frequency; q(u) takes natural-gradient steps.
+    """
+    params = {"log_variance": np.asarray(state.log_variance, dtype=np.float64)}
     for key in OPTIONAL_BLOCKS:
         if getattr(state, key) is not None:
             params[key] = np.asarray(getattr(state, key), dtype=np.float64)
@@ -394,7 +408,7 @@ class _Posterior:
     spec: K.Spectrum
     lam: np.ndarray  # per-feature variance * lambda_l
     basis: H.HarmonicBasis  # the model's basis at the state's phases
-    L: np.ndarray  # covariance factor of q(u)
+    L: np.ndarray  # lower covariance factor of q(u)
     s_diag: np.ndarray  # diag(S) = rowsum(L * L), for the KL and its lambda adjoint
     mean: np.ndarray
     kxx: float
@@ -404,22 +418,23 @@ class _Posterior:
 class _Rows:
     F: np.ndarray  # (N, M) features
     A: np.ndarray  # (N, M) lam * F
-    G: np.ndarray  # (N, M) A @ L; G G^T = A S A^T (the phase gradients overwrite it)
+    G: np.ndarray  # (N, M) A @ L; G G^T = A S A^T (the gradients overwrite it with A S)
     mu: np.ndarray
     v: np.ndarray  # unclamped predictive variance
     slopes: dict  # trained block -> d/dt C_l at t = X V^T (only when asked for)
 
 
-def _posterior(model, state, slopes: bool = False) -> _Posterior:
+def _posterior(model, state, slopes: bool = False, natural=None) -> _Posterior:
+    """The per-state part; q(u) is ``natural``'s when given, else the state's."""
     spec = _effective_spectrum(model, state)
-    L = state.cov_factor()
+    L, mean = (state.cov_factor(), state.mean) if natural is None else (natural.L, natural.mean)
     return _Posterior(
         spec=spec,
         lam=_lambda_per_feature(model, spec),
         basis=_basis_at(model.basis, state.phases, slopes=slopes),
         L=L,
         s_diag=np.einsum("ij,ij->i", L, L),
-        mean=state.mean,
+        mean=mean,
         kxx=K.mercer_diag_value(spec),
     )
 
@@ -489,19 +504,19 @@ class _Batch:
     value: float
 
 
-def _elbo_batch(model, state, X, y, likelihood, n_total: int, slopes=()) -> _Batch:
+def _elbo_batch(model, state, X, y, likelihood, n_total: int, slopes=(), natural=None) -> _Batch:
     X = np.atleast_2d(X)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     if n_total < X.shape[0]:
         raise ValueError("n_total must be at least the batch size")
-    post = _posterior(model, state, slopes=bool(slopes))
+    post = _posterior(model, state, slopes=bool(slopes), natural=natural)
     rows = _posterior_rows(post, X, slopes=slopes)
     v = _clamp_variances(rows.v)
     e, g, h, dnoise = _expected_loglik(likelihood, y, rows.mu, v, state.noise_variance)
     scale = n_total / X.shape[0]
-    value = scale * float(np.sum(e)) - _kl_from_parts(post.lam, state.mean, post.L, post.s_diag)
+    value = scale * float(np.sum(e)) - _kl_from_parts(post.lam, post.mean, post.L, post.s_diag)
     return _Batch(X=X, post=post, rows=rows, scale=scale, g=g, h=h, dnoise=dnoise, value=value)
 
 
@@ -536,62 +551,33 @@ def _pass_rows(width: int) -> int:
     return max(1, PASS_BYTES // (8 * width))
 
 
-def _cov_gradient(T: np.ndarray, L: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The covariance parameters' gradient, packed like ``cov_params``.
-
-    It is the lower triangle of ``2 T - lam_i L_ij`` with ``1 / L_ii`` added
-    on the diagonal, whose entries are then scaled by ``L_ii`` for the
-    log-space diagonal. Row blocks of the triangle are formed in cache and
-    gathered straight into the packed result, so no M x M array is made.
-    """
-    m = lam.size
-    mask = _tril_mask(m)
-    out = np.empty(m * (m + 1) // 2)
-    step = _pass_rows(m)
-    for i0 in range(0, m, step):
-        i1 = min(i0 + step, m)
-        block = np.multiply(T[i0:i1, :i1], 2.0)
-        block -= lam[i0:i1, None] * L[i0:i1, :i1]
-        out[i0 * (i0 + 1) // 2:i1 * (i1 + 1) // 2] = block[mask[i0:i1, :i1]]
-    l_diag = np.diag(L)
-    diag = _diag_positions(m)
-    out[diag] += 1.0 / l_diag
-    out[diag] *= l_diag
-    return out
-
-
-def elbo_gradients(model, state, X, y, likelihood, n_total: int):
+def elbo_gradients(model, state, X, y, likelihood, n_total: int, natural=None):
     """ELBO value and its exact gradient, keyed like ``pack_state(state)``.
 
-    Scalar blocks are 0-d arrays.
+    Scalar blocks are 0-d arrays. With ``natural`` (a ``NaturalQ``) this is
+    one training step of ``fit``: q(u) is ``natural``'s, not the state's,
+    the call takes ``natural``'s step in place, and the gradient leaves out
+    ``mean`` and ``cov_params``.
     """
-    batch = _elbo_batch(model, state, X, y, likelihood, n_total, slopes=tuple(state.phases))
-    X, post, scale, g, h = batch.X, batch.post, batch.scale, batch.g, batch.h
-    lam, L, F, A, G = post.lam, post.L, batch.rows.F, batch.rows.A, batch.rows.G
-    mean = state.mean
+    batch = _elbo_batch(
+        model, state, X, y, likelihood, n_total, slopes=tuple(state.phases), natural=natural
+    )
+    value, post, scale, g, h = batch.value, batch.post, batch.scale, batch.g, batch.h
+    lam, F, A, mu = post.lam, batch.rows.F, batch.rows.A, batch.rows.mu
+    mean = post.mean
 
-    # mean
-    grads = {"mean": scale * (A.T @ g) - lam * mean}
-
-    # covariance factor (log-diagonal parameterization). With the data
-    # adjoint s_bar = scale A^T diag(h) A of S, T = s_bar L = scale A^T (h G),
-    # and the lower triangle of the KL term's L^{-T} is diag(1 / L_ii).
-    work = h[:, None] * G  # (N, M) scratch, then F * F for the lambda adjoint
-    T = A.T @ work
-    T *= scale
-    ffh = scale * (np.multiply(F, F, out=work).T @ h)
-    del work
-    grads["cov_params"] = _cov_gradient(T, L, lam)
-
-    # per-feature lambda adjoint (data + KL), then chain into hypers;
-    # rowsum(T * L) / lam = scale sum_i h_i F_ij (A S)_ij
-    g_lam = scale * (F.T @ g) * mean + 2.0 * np.einsum("ij,ij->i", T, L) / lam
-    del T
-    g_lam -= ffh
+    # per-feature lambda adjoint (data + KL), then chain into hypers. The
+    # data part is scale sum_i h_i F_ij (2 C_ij - F_ij) with C = A S; einsum
+    # forms both sums without an N x M temporary.
+    C = _times_factor_t_over(batch.rows.G, post.L)  # over G
+    g_lam = scale * (F.T @ g) * mean
+    g_lam += scale * (
+        2.0 * np.einsum("i,ij,ij->j", h, F, C) - np.einsum("i,ij,ij->j", h, F, F)
+    )
     g_lam -= 0.5 * (post.s_diag + mean * mean - 1.0 / lam)
     h_total = scale * float(np.sum(h))
 
-    grads["log_variance"] = np.asarray(np.dot(g_lam, lam) + h_total * post.kxx)
+    grads = {"log_variance": np.asarray(np.dot(g_lam, lam) + h_total * post.kxx)}
 
     if state.log_beta is not None:
         dlam_dbeta = K.poly_decay_beta_gradient(post.spec)
@@ -608,26 +594,31 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int):
         )
 
     if state.phases:
-        grads.update(_phase_gradients(batch))
-    return batch.value, grads
+        grads.update(_phase_gradients(batch, C))
+    del batch, C, F  # q(u)'s step needs only A, which it overwrites, and per-row terms
+
+    if natural is not None:
+        natural.step(A, g, h, mu, scale, lam)
+        return value, grads
+    return value, {**_euclidean_q_gradients(post, A, g, h, mu, scale), **grads}
 
 
-def _phase_gradients(batch: _Batch) -> dict:
-    """Gradients of the trained phase blocks; overwrites ``batch.rows.G``.
+def _phase_gradients(batch: _Batch, C: np.ndarray) -> dict:
+    """Gradients of the trained phase blocks; overwrites ``C = A S``.
 
     The adjoint of a block's features is
-    ``Fbar_b = scale (g (lam m)_b^T + 2 h (lam_b (A S)_b - A_b))``. ``A S =
-    G L^T`` is written over ``G``, then one row-chunked pass turns every
-    column from the first trained block on into ``Fbar``. The trained blocks
-    are the truncated frequencies, which form a column suffix because
-    N(l, d) grows with l, so the pass spends nothing on frozen columns. Each
-    block's Gram term uses the slope its refactoring kept.
+    ``Fbar_b = scale (g (lam m)_b^T + 2 h (lam_b C_b - A_b))``. One
+    row-chunked pass turns every column of ``C`` from the first trained
+    block on into ``Fbar``. The trained blocks are the truncated
+    frequencies, which form a column suffix because N(l, d) grows with l,
+    so the pass spends nothing on frozen columns. Each block's Gram term
+    uses the slope its refactoring kept.
     """
     X, post, scale, g, h = batch.X, batch.post, batch.scale, batch.g, batch.h
-    lam, A, F, G = post.lam, batch.rows.A, batch.rows.F, batch.rows.G
+    lam, A, F = post.lam, batch.rows.A, batch.rows.F
     trained = [blk for blk in post.basis.blocks() if blk[0] in batch.rows.slopes]
     j0 = trained[0][1].start
-    Fbar = _times_factor_t_over(G, post.L)  # A S; its trained columns become Fbar
+    Fbar = C  # its trained columns become Fbar
     lam_t, lam_mean_t = lam[j0:], (lam * post.mean)[j0:]
     A_t = A[:, j0:]
     step = _pass_rows(lam_t.size)
@@ -656,11 +647,144 @@ def _phase_gradients(batch: _Batch) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# q(u): natural-gradient steps
+# ---------------------------------------------------------------------------
+
+def _syrk_weights(h: np.ndarray, scale: float, gamma: float) -> np.ndarray:
+    """Row weights ``-2 scale gamma h`` of the step's ``A^T diag(w) A``, clamped at 0.
+
+    ``h = d E[log p(y | f)] / d v`` is never positive in exact arithmetic
+    (every likelihood here is log-concave in f), but Gauss-Hermite rounding
+    makes it slightly positive at tiny variances; a negative weight would
+    subtract from ``P``.
+    """
+    return np.maximum(-2.0 * scale * gamma * h, 0.0)
+
+
+def _natural_step(P, theta1, A, g, h, mu, scale: float, lam, gamma: float) -> None:
+    """One natural-gradient step on q(u), in place; overwrites ``A``.
+
+    ``theta1 <- (1 - gamma) theta1 + gamma scale A^T (g - 2 h mu)`` and
+    ``P <- (1 - gamma) P + gamma (diag(lam) - 2 scale A^T diag(h) A)``.
+    ``P`` is Fortran-ordered and only its upper triangle is read and
+    written: ``A``'s rows are scaled by the square roots of the
+    ``_syrk_weights``, then one BLAS ``syrk`` adds ``A^T A`` into ``P``.
+    """
+    theta1 *= 1.0 - gamma
+    theta1 += (gamma * scale) * (A.T @ (g - 2.0 * h * mu))
+    A *= np.sqrt(_syrk_weights(h, scale, gamma))[:, None]
+    dsyrk(1.0, A.T, beta=1.0 - gamma, c=P, overwrite_c=1)
+    d = np.arange(lam.size)
+    P[d, d] += gamma * lam
+
+
+def _euclidean_q_gradients(post: _Posterior, A, g, h, mu, scale: float) -> dict:
+    """The ``mean`` and ``cov_params`` gradients, from the natural step's targets.
+
+    With gamma = 1 the step from zero gives the targets ``theta1^`` and
+    ``P^``. The ELBO's gradients are then ``d/dm = theta1^ - P^ m`` and
+    ``d/dS = (S^{-1} - P^) / 2``, so ``d/dL = L^{-T} - P^ L``, whose lower
+    triangle is ``diag(1 / L_ii) - tril(P^ L)``; the diagonal is then
+    scaled by ``L_ii`` for the log-space parameters. Overwrites ``A``.
+    """
+    lam, L, mean = post.lam, post.L, post.mean
+    m = lam.size
+    P, theta1 = np.zeros((m, m), order="F"), np.zeros(m)
+    _natural_step(P, theta1, A, g, h, mu, scale, lam, 1.0)
+    grad_mean = theta1 - dsymv(1.0, P, mean)
+    PL = dsymm(1.0, P, L.T, side=1).T  # (L^T P)^T
+    del P
+    packed = PL[_tril_mask(m)]
+    del PL
+    np.negative(packed, out=packed)
+    l_diag = np.diag(L)
+    diag = _diag_positions(m)
+    packed[diag] += 1.0 / l_diag
+    packed[diag] *= l_diag
+    return {"mean": grad_mean, "cov_params": packed}
+
+
+def _reverse_in_place(flat: np.ndarray) -> None:
+    """Reverse a 1-D array in place, ``PASS_BYTES`` per block, with no full-size copy."""
+    n = flat.size
+    half = n // 2
+    step = max(1, PASS_BYTES // 8)
+    for a in range(0, half, step):
+        b = min(a + step, half)
+        head = flat[a:b].copy()
+        flat[a:b] = flat[n - b:n - a][::-1]
+        flat[n - b:n - a] = head[::-1]
+
+
+class NaturalQ:
+    """q(u) in natural parameters while ``fit`` runs: ``P = S^{-1}``, ``theta1 = P m``.
+
+    ``P`` is Fortran-ordered and only its upper triangle is kept. ``L``
+    (lower, ``L L^T = S``) and ``mean`` always belong to the current ``P``
+    and ``theta1``. ``L`` lives in one M x M buffer that every
+    refactoring reuses: ``J P J = R R^T`` by ``potrf``, then ``R^{-1}`` by
+    ``trtri``, both in place on the buffer read in Fortran order, and the
+    buffer reversed end to end then holds ``J R^{-T} J = L`` in C order.
+    ``J`` reverses the index order.
+    """
+
+    def __init__(self, state: VariationalState, gamma: float):
+        m = state.num_features
+        self.gamma = gamma
+        self.mean = state.mean.copy()
+        self.L = state.cov_factor()
+        self._buf = self.L.reshape(-1)
+        # Until the first step, ``cov_params`` returns the incoming log-diagonal
+        # itself rather than log(exp(.)) of it.
+        self._log_diag = state.cov_params[_diag_positions(m)]
+        P, info = dtrtri(self.L.T, lower=0)  # L^{-T}
+        if info == 0:
+            P, info = dlauum(P, lower=0, overwrite_c=1)  # L^{-T} L^{-1}
+        if info != 0:
+            raise np.linalg.LinAlgError(f"covariance factor is singular (LAPACK info {info})")
+        self.P = P
+        self.theta1 = dsymv(1.0, P, self.mean)
+
+    def step(self, A, g, h, mu, scale: float, lam) -> None:
+        """The natural-gradient step for one batch's terms; overwrites ``A``."""
+        _natural_step(self.P, self.theta1, A, g, h, mu, scale, lam, self.gamma)
+        self._log_diag = None
+        m = self.mean.size
+        W = self._buf.reshape((m, m), order="F")
+        np.copyto(W, self.P[::-1, ::-1])  # its lower triangle is J P J's
+        _, info = dpotrf(W, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            _, info = dtrtri(W, lower=1, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"q(u) precision is not positive definite (LAPACK info {info})"
+            )
+        _reverse_in_place(self._buf)
+        self.mean = dtrmv(self.L.T, dtrmv(self.L.T, self.theta1), trans=1)  # L L^T theta1
+
+    def cov_params(self) -> np.ndarray:
+        """``L`` packed like ``VariationalState.cov_params``."""
+        packed = cov_params_from_factor(self.L)
+        if self._log_diag is not None:
+            packed[_diag_positions(self.mean.size)] = self._log_diag
+        return packed
+
+
+# ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Training settings.
+
+    ``lr_variational`` is the natural-gradient step size gamma of q(u), in
+    (0, 1]: gamma = 1 jumps to the current batch's optimum of q(u) (for a
+    Gaussian likelihood on the full batch, the collapsed bound's), smaller
+    values average over batches. ``lr_hyper`` is Adam's step size for the
+    variance, beta, noise and the phases.
+    """
+
     iterations: int = 500
     batch_size: int = 256
     lr_variational: float = 1e-2
@@ -668,18 +792,20 @@ class FitConfig:
     seed: int = 0
     log_every: int = 1
 
+    def __post_init__(self):
+        if not 0.0 < self.lr_variational <= 1.0:
+            raise ValueError(f"lr_variational must be in (0, 1], got {self.lr_variational}")
+
 
 @dataclass
 class TrainResult:
     model: InducingModel
     state: VariationalState
     trace: list  # (iteration, elbo, wallclock seconds)
-    moments: dict
+    moments: dict  # Adam's, keyed like ``_adam_blocks``
 
 
-_VARIATIONAL_KEYS = ("mean", "cov_params")
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
-ADAM_SLICE = PASS_BYTES // 8  # elements per Adam slice
 
 
 def _adam_step(param, m, v, grad, lr: float, corr1: float, corr2: float) -> None:
@@ -690,15 +816,7 @@ def _adam_step(param, m, v, grad, lr: float, corr1: float, corr2: float) -> None
     ``param + lr (m / corr1) / (sqrt(v / corr2) + eps)``, so the result is
     bit-identical to evaluating those expressions, without their
     temporaries. Every argument is an ndarray; ``out=`` keeps 0-d blocks 0-d.
-    A 1-D block longer than ``ADAM_SLICE`` (the packed covariance factor)
-    goes slice by slice, so that the six operands of a slice stay in cache
-    across the passes.
     """
-    if param.ndim == 1 and param.size > ADAM_SLICE:
-        for start in range(0, param.size, ADAM_SLICE):
-            part = slice(start, start + ADAM_SLICE)
-            _adam_step(param[part], m[part], v[part], grad[part], lr, corr1, corr2)
-        return
     tmp = np.multiply(1.0 - _B1, grad, out=np.empty_like(grad))
     m *= _B1
     m += tmp
@@ -716,13 +834,17 @@ def _adam_step(param, m, v, grad, lr: float, corr1: float, corr2: float) -> None
 
 
 def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | None = None):
-    """Maximize the ELBO with Adam (b1=0.9, b2=0.999) over all trainable parameters.
+    """Maximize the ELBO: natural-gradient steps for q(u), Adam for the rest.
 
-    Phase rows are projected back to the sphere after every step, and every
-    ELBO call refactors their blocks, so the diagonal prior structure stays
-    exact. The returned model's basis is the one the last steps trained:
-    ``_basis_at`` of the final phases. Deterministic under a fixed seed and
-    single-threaded execution.
+    q(u) steps with gamma = ``config.lr_variational`` (see the module
+    docstring); the variance, beta, noise and phases take Adam steps
+    (b1=0.9, b2=0.999) of ``config.lr_hyper``. Both use the same batch's
+    terms, from one ``elbo_gradients`` call. Phase rows are projected back
+    to the sphere after every step, and every ELBO call refactors their
+    blocks, so the diagonal prior structure stays exact. The returned
+    model's basis is the one the last steps trained: ``_basis_at`` of the
+    final phases. Deterministic under a fixed seed and single-threaded
+    execution.
     """
     from .data_io import minibatches
 
@@ -733,10 +855,9 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
     n_total = X.shape[0]
     if state is None:
         state = init_state(model, likelihood)
-    else:
-        state = state.copy()
-
-    params = pack_state(state)
+    natural = NaturalQ(state, config.lr_variational)
+    params = _adam_blocks(state)
+    del state  # q(u) lives in ``natural`` from here on, the rest in ``params``
     mom_m = {k: np.zeros_like(v) for k, v in params.items()}
     mom_v = {k: np.zeros_like(v) for k, v in params.items()}
     trace = []
@@ -753,9 +874,11 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
             batch_iter = minibatches(n_total, config.batch_size, epoch_seed=config.seed + epoch)
             epoch += 1
             idx = next(batch_iter)
-        cur = unpack_state(params)
+        cur = unpack_state({**params, "mean": natural.mean, "cov_params": None})
         try:
-            value, grads = elbo_gradients(model, cur, X[idx], y[idx], likelihood, n_total)
+            value, grads = elbo_gradients(
+                model, cur, X[idx], y[idx], likelihood, n_total, natural=natural
+            )
         except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
             if it == 0:
                 raise  # nothing has moved yet: a genuine input problem
@@ -772,8 +895,7 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
         corr1 = 1.0 - _B1**step
         corr2 = 1.0 - _B2**step
         for key, grad in grads.items():
-            lr = config.lr_variational if key in _VARIATIONAL_KEYS else config.lr_hyper
-            _adam_step(params[key], mom_m[key], mom_v[key], grad, lr, corr1, corr2)
+            _adam_step(params[key], mom_m[key], mom_v[key], grad, config.lr_hyper, corr1, corr2)
         if "log_beta" in params:
             np.clip(params["log_beta"], log_beta_lo, log_beta_hi, out=params["log_beta"])
         for key in params:
@@ -782,7 +904,7 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
         if it % config.log_every == 0 or it == config.iterations - 1:
             trace.append((it, float(value), time.perf_counter() - t_start))
 
-    final = unpack_state(params)
+    final = unpack_state({**params, "mean": natural.mean, "cov_params": natural.cov_params()})
     phases = {ell: V.copy() for ell, V in final.phases.items()}  # the basis owns its rows
     model_out = replace(model, basis=H.warn_jitter(_basis_at(model.basis, phases)))
     return TrainResult(model=model_out, state=final, trace=trace, moments={"m": mom_m, "v": mom_v, "step": step})

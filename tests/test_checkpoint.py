@@ -65,12 +65,41 @@ def test_moments_round_trip(tmp_path):
     loaded = CP.load_checkpoint(path)
     assert loaded.moments is not None
     assert loaded.moments["step"] == ckpt.moments["step"]
-    keys = set(V.pack_state(ckpt.state))
+    keys = set(V.pack_state(ckpt.state)) - {"mean", "cov_params"}  # the blocks Adam trains
     for moment in ("m", "v"):
         assert set(ckpt.moments[moment]) == keys
         assert set(loaded.moments[moment]) == keys
         for key, val in ckpt.moments[moment].items():
             assert np.array_equal(loaded.moments[moment][key], val)
+
+
+def test_q_u_has_no_adam_moments(tmp_path):
+    path, _, _ = make_checkpoint(tmp_path)
+    with np.load(path) as data:
+        names = set(data.files)
+    assert {"adam_m_log_variance", "adam_v_log_variance"} <= names
+    assert not {
+        f"adam_{moment}_{key}" for moment in ("m", "v") for key in ("mean", "cov_params")
+    } & names
+
+
+def test_checkpoint_with_q_u_moments_still_loads(tmp_path):
+    # checkpoints written while q(u) trained by Adam carry its two moments
+    path, ckpt, X = make_checkpoint(tmp_path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    m, size = ckpt.state.mean.size, ckpt.state.cov_params.size
+    for moment in ("m", "v"):
+        arrays[f"adam_{moment}_mean"] = np.full(m, 0.5)
+        arrays[f"adam_{moment}_cov_params"] = np.full(size, 0.25)
+    old_path = tmp_path / "old.npz"
+    np.savez(old_path, **arrays)
+    new, old = CP.load_checkpoint(path), CP.load_checkpoint(old_path)
+    assert np.array_equal(old.state.cov_params, new.state.cov_params)
+    mu_new, v_new = V.predict(new.model, new.state, X)
+    mu_old, v_old = V.predict(old.model, old.state, X)
+    assert np.array_equal(mu_old, mu_new)
+    assert np.array_equal(v_old, v_new)
 
 
 def test_scalers_round_trip(tmp_path):

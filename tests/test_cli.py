@@ -65,6 +65,8 @@ class TestConfig:
             "max_bad_fraction = 1.5",
             "lr_variational = -0.02",
             "lr_variational = 0.0",
+            "lr_variational = 1.5",
+            "lr_variational = nan",
             "lr_hyper = nan",
             "beta0 = inf",
             "variance0 = inf",

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphgp import backend
 from sphgp import harmonics as H
@@ -170,7 +172,7 @@ class TestPredict:
         def refuse(*args, **kwargs):
             raise AssertionError("slope evaluated")
 
-        monkeypatch.setattr(V.backend, "gegenbauer_last_and_slope", refuse)
+        monkeypatch.setattr(backend, "gegenbauer_last_and_slope", refuse)
         V.predict(truncated_model, state, X)
         V.elbo(truncated_model, state, X, y, lik, X.shape[0])
         with pytest.raises(AssertionError, match="slope evaluated"):
@@ -355,13 +357,20 @@ class TestFit:
         assert res.trace == []
 
     def test_divergence_guard(self, truncated_model):
+        # q(u)'s step cannot blow up for any valid gamma; Adam on the
+        # hyperparameters can, and that must end in TrainingDiverged
         lik = V.GaussianLikelihood(0.1)
         rng = np.random.default_rng(18)
         X = random_sphere(rng, 16, 4)
         y = rng.standard_normal(16)
-        cfg = V.FitConfig(iterations=200, batch_size=16, lr_variational=1e6, lr_hyper=1e6)
+        cfg = V.FitConfig(iterations=200, batch_size=16, lr_variational=1.0, lr_hyper=1e6)
         with pytest.raises(V.TrainingDiverged):
             V.fit(truncated_model, X, y, lik, cfg)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.01, 1.0 + 1e-12, float("nan"), float("inf")])
+    def test_step_size_outside_unit_interval_is_rejected(self, gamma):
+        with pytest.raises(ValueError, match="lr_variational"):
+            V.FitConfig(lr_variational=gamma)
 
     def test_phase_rows_stay_unit_and_synced(self, truncated_model):
         lik = V.GaussianLikelihood(0.1)
@@ -416,14 +425,8 @@ class TestFit:
         lo, hi = V.BETA_BOUNDS
         assert lo <= res.state.beta <= hi
 
-    @pytest.mark.parametrize(
-        "shape, adam_slice",
-        [((), None), ((7,), None), ((3, 4), None), ((1000,), 64)],
-        ids=["0d", "1d", "2d", "1d-in-slices"],
-    )
-    def test_adam_step_matches_textbook_update(self, shape, adam_slice, monkeypatch):
-        if adam_slice is not None:  # 1000 = 15 slices of 64 and a ragged 40
-            monkeypatch.setattr(V, "ADAM_SLICE", adam_slice)
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)], ids=["0d", "1d", "2d"])
+    def test_adam_step_matches_textbook_update(self, shape):
         rng = np.random.default_rng(22)
         param, m, grad = (np.asarray(rng.standard_normal(shape)) for _ in range(3))
         v = np.asarray(rng.uniform(0.1, 1.0, shape))
@@ -435,6 +438,152 @@ class TestFit:
         for got, ref in ((param, p_ref), (m, m_ref), (v, v_ref)):
             assert isinstance(got, np.ndarray) and got.shape == shape
             assert np.array_equal(got, ref)
+
+
+def sym(P):
+    """The symmetric matrix whose upper triangle ``P`` keeps."""
+    return np.triu(P) + np.triu(P, 1).T
+
+
+def susy_shaped(rng, n):
+    """Probit labels over 8 raw columns, projected to the 9-sphere (bias 1)."""
+    from scipy.special import ndtr
+
+    raw = rng.standard_normal((n, 8))
+    u1, u2 = rng.standard_normal((2, 8)) / np.sqrt(8)
+    y = (rng.random(n) < ndtr(1.4 * (raw @ u1) + (raw @ u2) ** 2 - 0.8)).astype(float)
+    X = np.hstack([raw, np.ones((n, 1))])
+    return X / np.linalg.norm(X, axis=1, keepdims=True), y
+
+
+class TestNaturalStep:
+    """q(u)'s natural-gradient step: its fixed point, its factor and its safety."""
+
+    def test_full_batch_gaussian_step_of_one_is_the_collapsed_optimum(self, full_model):
+        # Titsias 2009: S^{-1} = diag(lam) + A^T A / noise, m = S A^T y / noise
+        lik = V.GaussianLikelihood(0.05)
+        rng = np.random.default_rng(40)
+        X = random_sphere(rng, 60, 3)
+        y = rng.standard_normal(60)
+        start = V.init_state(full_model, lik)
+        lam = V._lambda_per_feature(full_model, full_model.spectrum)
+        m_star, s_star = oracles.inducing_optimum(H.features(full_model.basis, X), lam, y, 0.05)
+
+        # lr_hyper 1e-12 holds the hyperparameters where the optimum was taken
+        cfg = V.FitConfig(iterations=1, batch_size=60, lr_variational=1.0, lr_hyper=1e-12)
+        state = V.fit(full_model, X, y, lik, cfg).state
+        L = state.cov_factor()
+        np.testing.assert_allclose(state.mean, m_star, rtol=1e-9, atol=1e-9 * np.abs(m_star).max())
+        np.testing.assert_allclose(L @ L.T, s_star, rtol=1e-9, atol=1e-9 * np.abs(s_star).max())
+
+        _, at_start = V.elbo_gradients(full_model, start, X, y, lik, 60)
+        _, at_optimum = V.elbo_gradients(full_model, state, X, y, lik, 60)
+        for key in ("mean", "cov_params"):
+            size = np.abs(at_start[key]).max()
+            assert np.abs(at_optimum[key]).max() <= 1e-8 * size, key
+
+    def test_bernoulli_smoothed_elbo_rises_on_the_susy_shape(self):
+        spec = K.poly_decay_spectrum(1.0, 9, 7)
+        model = V.build_inducing_model(spec, phase_limit=100, seed=0)
+        assert model.num_features == 554
+        rng = np.random.default_rng(41)
+        X, y = susy_shaped(rng, 2048)
+        cfg = V.FitConfig(iterations=16, batch_size=512, lr_variational=0.01, seed=0)
+        trace = np.array([value for _, value, _ in V.fit(model, X, y, V.BernoulliLikelihood(), cfg).trace])
+        per_epoch = trace.reshape(4, 4).mean(axis=1)  # each epoch visits the 4 batches once
+        assert np.all(np.diff(per_epoch) > 0), per_epoch
+
+    def test_fit_from_a_mid_run_state_continues(self, full_model):
+        # hyperparameters held (lr_hyper 1e-12), full batch: q(u) alone carries
+        # the run, and resuming rebuilds P = L^{-T} L^{-1} and theta1 = P m
+        # from the packed state, which moves them by rounding only
+        lik = V.GaussianLikelihood(0.1)
+        rng = np.random.default_rng(42)
+        X = random_sphere(rng, 50, 3)
+        y = rng.standard_normal(50)
+
+        def run(iterations, state=None):
+            cfg = V.FitConfig(iterations=iterations, batch_size=50, lr_variational=0.3, lr_hyper=1e-12)
+            return V.fit(full_model, X, y, lik, cfg, state=state).state
+
+        straight = run(8)
+        resumed = run(4, state=run(4))
+        np.testing.assert_allclose(resumed.mean, straight.mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(resumed.cov_params, straight.cov_params, rtol=1e-10, atol=1e-12)
+
+    def test_factor_and_mean_follow_p_and_theta1(self, truncated_model):
+        rng = np.random.default_rng(43)
+        lik = V.BernoulliLikelihood("logit")
+        state, L0 = random_state(truncated_model, rng, lik)
+        q = V.NaturalQ(state, 0.4)
+        np.testing.assert_allclose(sym(q.P), np.linalg.inv(L0 @ L0.T), rtol=1e-10, atol=1e-10)
+        assert np.array_equal(q.L, state.cov_factor()) and np.array_equal(q.mean, state.mean)
+        X = random_sphere(rng, 30, 4)
+        y = (rng.random(30) < 0.5).astype(float)
+        V.elbo_gradients(truncated_model, state, X, y, lik, 90, natural=q)
+        assert np.array_equal(q.L, np.tril(q.L))
+        S = np.linalg.inv(sym(q.P))
+        np.testing.assert_allclose(q.L @ q.L.T, S, rtol=1e-10, atol=1e-12 * np.abs(S).max())
+        np.testing.assert_allclose(q.mean, S @ q.theta1, rtol=1e-10, atol=1e-12)
+
+    def test_step_matches_the_dense_formulas(self, truncated_model):
+        rng = np.random.default_rng(44)
+        lik = V.GaussianLikelihood(0.2)
+        state, _ = random_state(truncated_model, rng, lik)
+        X = random_sphere(rng, 25, 4)
+        y = rng.standard_normal(25)
+        gamma, n_total = 0.3, 75
+        q = V.NaturalQ(state, gamma)
+        P0, theta0 = sym(q.P), q.theta1.copy()
+        batch = V._elbo_batch(truncated_model, state, X, y, lik, n_total)
+        A, g, h, mu, s = batch.rows.A, batch.g, batch.h, batch.rows.mu, batch.scale
+        P_hat = np.diag(batch.post.lam) - 2.0 * s * (A.T * h) @ A
+        theta_hat = s * A.T @ (g - 2.0 * h * mu)
+        V.elbo_gradients(truncated_model, state, X, y, lik, n_total, natural=q)
+        want_P = (1 - gamma) * P0 + gamma * P_hat
+        np.testing.assert_allclose(sym(q.P), want_P, rtol=1e-12, atol=1e-12 * np.abs(want_P).max())
+        want_theta = (1 - gamma) * theta0 + gamma * theta_hat
+        np.testing.assert_allclose(q.theta1, want_theta, rtol=1e-12, atol=1e-12 * np.abs(want_theta).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        link=st.sampled_from(["probit", "logit"]),
+        mu=st.floats(-40.0, 40.0),
+        log10_v=st.floats(-12.0, 2.0),
+        label=st.sampled_from([0.0, 1.0]),
+        gamma=st.floats(1e-6, 1.0),
+    )
+    def test_syrk_weights_are_never_negative(self, link, mu, log10_v, label, gamma):
+        _, _, h, _ = V._bernoulli_expected(
+            np.array([label]), np.array([mu]), np.array([10.0**log10_v]), link
+        )
+        assert h[0] <= 1e-9  # non-positive up to Gauss-Hermite rounding
+        w = V._syrk_weights(h, 3.0, gamma)
+        assert w[0] >= 0.0
+        if h[0] <= 0.0:
+            assert w[0] == -2.0 * 3.0 * gamma * h[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        gamma=st.floats(1e-6, 1.0),
+        positive_rows=st.integers(0, 6),
+    )
+    def test_p_stays_positive_definite_after_a_step(self, seed, gamma, positive_rows):
+        # rows with h > 0 (as rounding makes them) must not pull P indefinite
+        rng = np.random.default_rng(seed)
+        m, n = 12, 8
+        L = np.tril(0.3 * rng.standard_normal((m, m)))
+        np.fill_diagonal(L, np.exp(rng.uniform(-3.0, 1.0, m)))
+        P = np.asfortranarray(np.linalg.inv(L @ L.T))
+        theta1 = rng.standard_normal(m)
+        A = 10.0 * rng.standard_normal((n, m))
+        h = -rng.exponential(size=n)
+        h[:positive_rows] = 1e3
+        lam = np.exp(rng.uniform(-8.0, 2.0, m))
+        V._natural_step(P, theta1, A, rng.standard_normal(n), h, rng.standard_normal(n), 5.0, lam, gamma)
+        np.linalg.cholesky(sym(P))
+        assert np.all(np.isfinite(theta1))
 
 
 class TestLeanStep:
@@ -460,29 +609,66 @@ class TestLeanStep:
             for key in grads:
                 assert np.array_equal(other_grads[key], grads[key]), key
 
-    def test_peak_memory_of_one_gradient_call(self):
-        # The live set at the peak is L, T and the packed factor gradient
-        # (2.5 M^2), then F, A, G, the trained blocks' slopes and one N x M
-        # scratch (< 5 N M), plus at most three cache-sized pass blocks. A
-        # dense M x M adjoint of the factor (2 T - lam L) adds 2-3 M^2 and fails.
+    def test_natural_step_does_not_depend_on_chunk_sizes(self, truncated_model, monkeypatch):
+        rng = np.random.default_rng(33)
+        lik = V.BernoulliLikelihood("probit")
+        state, _ = random_state(truncated_model, rng, lik)
+        X = random_sphere(rng, 40, 4)
+        y = (rng.uniform(size=40) < 0.5).astype(float)
+        results = []
+        for pass_bytes in (8, 200, 2**40):
+            monkeypatch.setattr(V, "PASS_BYTES", pass_bytes)
+            q = V.NaturalQ(state, 0.3)
+            value, grads = V.elbo_gradients(truncated_model, state, X, y, lik, 100, natural=q)
+            results.append((value, grads, q))
+        (value, grads, q), others = results[0], results[1:]
+        assert "mean" not in grads and "cov_params" not in grads
+        for other_value, other_grads, other_q in others:
+            assert other_value == value
+            for key in grads:
+                assert np.array_equal(other_grads[key], grads[key]), key
+            for attr in ("P", "theta1", "L", "mean"):
+                assert np.array_equal(getattr(other_q, attr), getattr(q, attr)), attr
+
+    @staticmethod
+    def _peak_of_one_call(n, natural_step):
         spec = K.poly_decay_spectrum(1.0, 8, 8)
         model = V.build_inducing_model(spec, phase_limit=60, seed=0)
-        m, n = model.num_features, 256
-        assert m == 404
+        assert model.num_features == 404
         rng = np.random.default_rng(32)
         lik = V.GaussianLikelihood(0.1)
         state, _ = random_state(model, rng, lik)
         assert len(state.phases) == 6
         X = random_sphere(rng, n, 8)
         y = rng.standard_normal(n)
-        V.elbo_gradients(model, state, X, y, lik, n)  # first-call imports and caches
+        natural = V.NaturalQ(state, 0.5) if natural_step else None
+        V.elbo_gradients(model, state, X, y, lik, n, natural=natural)  # first-call imports and caches
         tracemalloc.start()
         try:
-            V.elbo_gradients(model, state, X, y, lik, n)
-            peak = tracemalloc.get_traced_memory()[1]
+            V.elbo_gradients(model, state, X, y, lik, n, natural=natural)
+            return model.num_features, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_memory_of_one_gradient_call(self):
+        # The Euclidean gradient (the gradient check's) forms the step's
+        # target P^ and then P^ L densely: with L that is 3 M^2 at the peak,
+        # next to F and A (2 N M; A S is freed by then), plus at most three
+        # cache-sized pass blocks. Earlier in the call F, A, G, the trained
+        # blocks' slopes and the basis refactoring stay below 5 N M.
+        m, peak = self._peak_of_one_call(256, natural_step=False)
+        n = 256
         bound = 8 * (2.5 * m * m + 5 * n * m) + 3 * V.PASS_BYTES
+        assert peak <= bound, (peak / (8 * m * m), peak / (8 * n * m))
+
+    def test_training_step_allocates_no_m_by_m_array(self):
+        # NaturalQ owns P and the factor's buffer, and a step refactors in
+        # that buffer, so the step's own allocations are F, A, G (which
+        # becomes A S), the trained blocks' slopes and cache-sized blocks.
+        # At N = 64 one M x M temporary (6.3 N M) is past the bound.
+        n = 64
+        m, peak = self._peak_of_one_call(n, natural_step=True)
+        bound = 8 * 4 * n * m + 3 * V.PASS_BYTES
         assert peak <= bound, (peak / (8 * m * m), peak / (8 * n * m))
 
 
