@@ -34,10 +34,6 @@ class Checkpoint:
     moments: dict | None
 
 
-def _opt(value, default=np.nan):
-    return default if value is None else value
-
-
 def _state_arrays(state: V.VariationalState) -> dict[str, np.ndarray]:
     """``state_<key>`` per packed block; an absent optional block is a NaN.
 
@@ -76,7 +72,6 @@ def _state_from_arrays(arrays: dict, basis: H.HarmonicBasis) -> V.VariationalSta
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    model = ckpt.model
     arrays = {
         "checkpoint_version": np.asarray(CHECKPOINT_VERSION, dtype=np.int64),
         "task": np.asarray(ckpt.task),
@@ -84,19 +79,13 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "config_text": np.asarray(ckpt.config_text),
         "config_hash": np.asarray(ckpt.config_hash),
         "schema_text": np.asarray(ckpt.schema_text),
-        # spectrum
-        "spectrum_dim": np.asarray(model.spectrum.dim, dtype=np.int64),
-        "spectrum_eigenvalues": model.spectrum.eigenvalues,
-        "spectrum_source": np.asarray(model.spectrum.source),
-        "spectrum_variance": np.asarray(model.spectrum.variance, dtype=np.float64),
-        "spectrum_beta": np.asarray(_opt(model.spectrum.beta), dtype=np.float64),
-        "spectrum_lambda0": np.asarray(model.spectrum.lambda0, dtype=np.float64),
         # likelihood
         "likelihood_kind": np.asarray(ckpt.likelihood.kind),
         "likelihood_link": np.asarray(getattr(ckpt.likelihood, "link", "")),
     }
+    arrays.update(K.spectrum_to_arrays(ckpt.model.spectrum))
     arrays.update(_state_arrays(ckpt.state))
-    arrays.update(H.basis_to_arrays(model.basis))
+    arrays.update(H.basis_to_arrays(ckpt.model.basis))
     if ckpt.input_scaler is not None:
         arrays["input_scaler_mean"] = ckpt.input_scaler.mean
         arrays["input_scaler_std"] = ckpt.input_scaler.std
@@ -112,23 +101,23 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at ``path``; of Adam's moments only those of the state's blocks are read."""
     with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files}
-    version = int(arrays["checkpoint_version"])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    basis = H.basis_from_arrays(arrays)
-    beta = float(arrays["spectrum_beta"])
-    spectrum = K.Spectrum(
-        dim=int(arrays["spectrum_dim"]),
-        eigenvalues=np.asarray(arrays["spectrum_eigenvalues"], dtype=np.float64),
-        source=str(arrays["spectrum_source"]),
-        variance=float(arrays["spectrum_variance"]),
-        beta=None if np.isnan(beta) else beta,
-        lambda0=float(arrays["spectrum_lambda0"]),
-    )
-    model = V.InducingModel(basis=basis, spectrum=spectrum)
-    state = _state_from_arrays(arrays, basis)
+        names = {K.current_key(k): k for k in data.files}
+        arrays = {k: data[name] for k, name in names.items() if not k.startswith("adam_")}
+        version = int(arrays["checkpoint_version"])
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        basis = H.basis_from_arrays(arrays)
+        model = V.InducingModel(basis=basis, spectrum=K.spectrum_from_arrays(arrays))
+        state = _state_from_arrays(arrays, basis)
+        moments = None
+        if "adam_step" in names:
+            moments = {"step": int(data["adam_step"])}
+            for moment in _MOMENTS:
+                moments[moment] = {
+                    key: data[names[f"adam_{moment}_{key}"]] for key in V.adam_blocks(state)
+                }
     kind = str(arrays["likelihood_kind"])
     if kind == "gaussian":
         if state.log_noise is None:
@@ -148,14 +137,6 @@ def load_checkpoint(path) -> Checkpoint:
             mean=np.asarray(arrays["target_scaler_mean"], dtype=np.float64)[0],
             std=np.asarray(arrays["target_scaler_std"], dtype=np.float64)[0],
         )
-    moments = None
-    if "adam_step" in arrays:
-        moments = {"step": int(arrays["adam_step"])}
-        for moment in _MOMENTS:
-            prefix = f"adam_{moment}_"
-            moments[moment] = {
-                k[len(prefix):]: arrays[k] for k in arrays if k.startswith(prefix)
-            }
     return Checkpoint(
         model=model,
         state=state,

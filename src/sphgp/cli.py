@@ -54,21 +54,6 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _build_spectrum(kind, dim, max_frequency, beta0, depth, lambda0, variance0, quad_order):
-    from . import kernels as K
-
-    if kind == "poly_decay":
-        return K.poly_decay_spectrum(
-            beta0, dim, max_frequency, lambda0=lambda0, variance=variance0
-        )
-    shape = (
-        K.ComposedShape(K.ReluShape(), depth) if kind == "composed_relu" else K.NtkShape(depth)
-    )
-    return K.funk_hecke_spectrum(
-        shape, dim, max_frequency, quad_order=quad_order or None, variance=variance0
-    )
-
-
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -76,6 +61,7 @@ def _build_spectrum(kind, dim, max_frequency, beta0, depth, lambda0, variance0, 
 def cmd_train(args) -> int:
     from . import checkpoint as CP
     from . import data_io as D
+    from . import kernels as K
     from . import vargp as V
     from .config import config_hash, load_config, serialize_config
 
@@ -85,10 +71,7 @@ def cmd_train(args) -> int:
 
         cfg = dataclasses.replace(cfg, seed=args.seed)
     schema = D.load_schema(_resolve_data_path(cfg.schema))
-    spectrum = _build_spectrum(
-        cfg.kernel, len(schema.features) + 1, cfg.max_frequency, cfg.beta0, cfg.depth,
-        cfg.lambda0, cfg.variance0, cfg.quad_order,
-    )
+    spectrum = K.config_spectrum(cfg, len(schema.features) + 1)
     model = V.build_inducing_model(spectrum, phase_limit=cfg.phase_limit, seed=cfg.seed)
     dataset = D.load_csv(
         _resolve_data_path(cfg.data_csv), schema, max_bad_fraction=cfg.max_bad_fraction
@@ -214,39 +197,16 @@ def cmd_eval(args) -> int:
 # eigvals
 # ---------------------------------------------------------------------------
 
-def _parse_kernel_arg(text: str):
-    from .config import KERNEL_KINDS
-
-    name, _, rest = text.partition(":")
-    name = name.strip()
-    aliases = {"poly": "poly_decay", "relu": "composed_relu"}
-    name = aliases.get(name, name)
-    if name not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel {name!r} (use {'|'.join(KERNEL_KINDS)})")
-    params = {}
-    if rest:
-        for piece in rest.split(","):
-            key, _, val = piece.partition("=")
-            params[key.strip()] = val.strip()
-    beta = float(params.pop("beta", 1.0))
-    depth = int(params.pop("depth", 1))
-    if params:
-        raise ValueError(f"unknown kernel parameters {sorted(params)}")
-    return name, beta, depth
-
-
 def cmd_eigvals(args) -> int:
     from . import kernels as K
 
+    spectra = [
+        K.parse_spectrum(text, args.dim, args.max_frequency, args.quad_order) for text in args.kernel
+    ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for spec_text in args.kernel:
-        kind, beta, depth = _parse_kernel_arg(spec_text)
-        spectrum = _build_spectrum(
-            kind, args.dim, args.max_frequency, beta, depth,
-            lambda0=1.0, variance0=1.0, quad_order=args.quad_order,
-        )
+    for spec_text, spectrum in zip(args.kernel, spectra):
         label = spec_text.replace(":", "_").replace("=", "").replace(",", "_")
         path = out_dir / f"eigvals_{label}_d{args.dim}.csv"
         K.export_spectrum(spectrum, path)

@@ -12,9 +12,9 @@ The spherical-harmonic features make the prior over the inducing variables
 diagonal, so the package only evaluates that sum on the diagonal, where it is
 ``variance * sum_l N(l, d) lambda_l`` (``mercer_diag_value``).
 
-The ``poly_decay`` spectrum models the eigenvalues directly as ``l**-beta``
-with a trainable ``beta``; smaller ``beta`` behaves like a deeper composed
-kernel.
+A spectrum of a family (``PolyDecay``: ``l**-beta``) has one trainable
+parameter ``theta``; Funk-Hecke spectra have no family and stay fixed. The
+module also builds the spectrum of a kernel kind and owns its checkpoint arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import KERNEL_KINDS
 from .special_math import (
     clamp_inner_product,
     funk_hecke_constant,
@@ -104,26 +105,50 @@ class NtkShape:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class PolyDecay:
+    """A spectral family: ``lambda_l = l**-beta`` for l >= 1 and a fixed ``lambda0``.
+
+    A family gives the eigenvalues of frequencies 0..max_frequency at its
+    parameter ``theta`` (here beta) and their derivative in ``theta``, the
+    ``bounds`` training keeps ``theta`` in, and the parameter's ``name``.
+    """
+
+    lambda0: float = 1.0
+    name = "beta"
+    bounds = (0.05, 10.0)
+
+    def eigenvalues(self, theta: float, max_frequency: int) -> np.ndarray:
+        ells = np.arange(max_frequency + 1, dtype=np.float64)
+        lam = np.empty(max_frequency + 1)
+        lam[0] = self.lambda0
+        lam[1:] = ells[1:] ** (-theta)
+        return lam
+
+    def derivative(self, theta: float, max_frequency: int) -> np.ndarray:
+        ells = np.arange(max_frequency + 1, dtype=np.float64)
+        grad = np.zeros_like(ells)
+        grad[1:] = -np.log(ells[1:]) * ells[1:] ** (-theta)
+        return grad
+
+
+@dataclass(frozen=True)
 class Spectrum:
     """Per-frequency eigenvalues of a zonal kernel, plus the radial variance.
 
     ``eigenvalues[l]`` is the unit-variance eigenvalue of frequency l; the
-    kernel scale enters through ``variance`` only. For a ``poly_decay``
-    source ``beta`` is set and eigenvalues are l**-beta for l >= 1 with a
-    configurable constant term ``lambda0``.
+    kernel scale enters through ``variance`` only. A spectrum with a
+    ``family`` holds the family's eigenvalues at ``theta``, which trains.
     """
 
     dim: int
     eigenvalues: np.ndarray
     source: str
     variance: float = 1.0
-    beta: float | None = None
-    lambda0: float = 1.0
+    family: PolyDecay | None = None  # or any object with PolyDecay's members
+    theta: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64)
-        )
+        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64))
         if self.dim < 3:
             raise ValueError(f"dimension must be >= 3, got {self.dim}")
         if not self.variance > 0:
@@ -135,46 +160,32 @@ class Spectrum:
             raise ValueError("eigenvalues must be non-negative")
         if not np.any(lam > 0):
             raise ValueError("at least one eigenvalue must be positive")
-        if self.beta is not None and lam.size > 2 and np.any(np.diff(lam[1:]) >= 0):
-            raise ValueError("poly-decay eigenvalues must be strictly decreasing")
+        if self.family is not None and lam.size > 2 and np.any(np.diff(lam[1:]) >= 0):
+            raise ValueError("a family's eigenvalues must be strictly decreasing")
 
     @property
     def max_frequency(self) -> int:
         return self.eigenvalues.size - 1
 
+    def at(self, theta: float | None, variance: float) -> "Spectrum":
+        """This spectrum at ``variance`` and, for a family, at ``theta`` (None keeps it)."""
+        if self.family is None or theta is None:
+            return replace(self, variance=float(variance))
+        lam = self.family.eigenvalues(theta, self.max_frequency)
+        return replace(self, eigenvalues=lam, variance=float(variance), theta=theta)
+
 
 def poly_decay_spectrum(
-    beta: float,
-    dim: int,
-    max_frequency: int,
-    lambda0: float = 1.0,
-    variance: float = 1.0,
+    beta: float, dim: int, max_frequency: int, lambda0: float = 1.0, variance: float = 1.0
 ) -> Spectrum:
     """Spectrum lambda_l = l**-beta for l >= 1; the l=0 term is ``lambda0``."""
     if not beta > 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    ells = np.arange(max_frequency + 1, dtype=np.float64)
-    lam = np.empty(max_frequency + 1)
-    lam[0] = lambda0
-    lam[1:] = ells[1:] ** (-beta)
+    family = PolyDecay(float(lambda0))
     return Spectrum(
-        dim=dim,
-        eigenvalues=lam,
-        source=f"poly_decay(beta={beta:g})",
-        variance=variance,
-        beta=float(beta),
-        lambda0=float(lambda0),
+        dim=dim, eigenvalues=family.eigenvalues(beta, max_frequency),
+        source=f"poly_decay(beta={beta:g})", variance=variance, family=family, theta=float(beta),
     )
-
-
-def poly_decay_beta_gradient(spec: Spectrum) -> np.ndarray:
-    """d(eigenvalues)/d(beta); zero for the constant term."""
-    if spec.beta is None:
-        raise ValueError("spectrum has no beta parameter")
-    ells = np.arange(spec.max_frequency + 1, dtype=np.float64)
-    grad = np.zeros_like(ells)
-    grad[1:] = -np.log(ells[1:]) * ells[1:] ** (-spec.beta)
-    return grad
 
 
 def funk_hecke_spectrum(
@@ -226,26 +237,77 @@ def funk_hecke_spectrum(
     )
 
 
-def spectrum_with(
-    spec: Spectrum, beta: float | None = None, variance: float | None = None
-) -> Spectrum:
-    """Copy of the spectrum with updated hyper-parameters.
+# ---------------------------------------------------------------------------
+# kernel kinds and checkpoint arrays
+# ---------------------------------------------------------------------------
 
-    Changing ``beta`` recomputes poly-decay eigenvalues; for quadrature-based
-    spectra only the variance may change.
-    """
-    out = spec
-    if beta is not None and spec.beta is not None and beta != spec.beta:
-        out = poly_decay_spectrum(
-            beta,
-            spec.dim,
-            spec.max_frequency,
-            lambda0=spec.lambda0,
-            variance=out.variance,
-        )
-    if variance is not None:
-        out = replace(out, variance=float(variance))
-    return out
+_KIND_ALIASES = {"poly": "poly_decay", "relu": "composed_relu"}
+
+
+def _kind_spectrum(
+    kind, dim, max_frequency, beta=1.0, depth=1, lambda0=1.0, variance=1.0, quad_order=0
+):
+    if kind == "poly_decay":
+        return poly_decay_spectrum(beta, dim, max_frequency, lambda0, variance)
+    shape = ComposedShape(ReluShape(), depth) if kind == "composed_relu" else NtkShape(depth)
+    return funk_hecke_spectrum(shape, dim, max_frequency, quad_order or None, variance)
+
+
+def config_spectrum(cfg, dim: int) -> Spectrum:
+    """The prior spectrum of a run config, at input dimension ``dim``."""
+    return _kind_spectrum(
+        cfg.kernel, dim, cfg.max_frequency, cfg.beta0, cfg.depth, cfg.lambda0, cfg.variance0,
+        cfg.quad_order,
+    )
+
+
+def parse_spectrum(text: str, dim: int, max_frequency: int, quad_order: int = 0) -> Spectrum:
+    """The unit-variance spectrum of ``poly_decay:beta=1.5``, ``ntk:depth=2``, ... (default 1)."""
+    name, _, rest = text.partition(":")
+    kind = _KIND_ALIASES.get(name.strip(), name.strip())
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel {kind!r} (use {'|'.join(KERNEL_KINDS)})")
+    takes, cast = ("beta", float) if kind == "poly_decay" else ("depth", int)
+    params = {}
+    for key, _, val in (piece.partition("=") for piece in rest.split(",") if rest):
+        if key.strip() != takes:
+            raise ValueError(f"kernel {kind} takes only {takes}, not {key.strip()!r}")
+        params[takes] = cast(val.strip())
+    return _kind_spectrum(kind, dim, max_frequency, quad_order=quad_order, **params)
+
+
+def spectrum_to_arrays(spec: Spectrum) -> dict[str, np.ndarray]:
+    """``spectrum_*`` arrays; without a family ``spectrum_theta`` is NaN and there is no lambda0."""
+    arrays = {
+        "spectrum_dim": np.asarray(spec.dim, dtype=np.int64),
+        "spectrum_eigenvalues": spec.eigenvalues,
+        "spectrum_source": np.asarray(spec.source),
+        "spectrum_variance": np.asarray(spec.variance, dtype=np.float64),
+        "spectrum_theta": np.asarray(
+            np.nan if spec.family is None else spec.theta, dtype=np.float64
+        ),
+    }
+    if spec.family is not None:
+        arrays["spectrum_lambda0"] = np.asarray(spec.family.lambda0, dtype=np.float64)
+    return arrays
+
+
+def spectrum_from_arrays(arrays) -> Spectrum:
+    theta = float(arrays["spectrum_theta"])
+    family = None if np.isnan(theta) else PolyDecay(float(arrays["spectrum_lambda0"]))
+    return Spectrum(
+        dim=int(arrays["spectrum_dim"]),
+        eigenvalues=np.asarray(arrays["spectrum_eigenvalues"], dtype=np.float64),
+        source=str(arrays["spectrum_source"]),
+        variance=float(arrays["spectrum_variance"]),
+        family=family,
+        theta=None if family is None else theta,
+    )
+
+
+def current_key(key: str) -> str:
+    """A checkpoint key's current name: ``spectrum_beta`` and ``*_log_beta`` now end in theta."""
+    return key[: -len("beta")] + "theta" if key.endswith("_beta") else key
 
 
 # ---------------------------------------------------------------------------

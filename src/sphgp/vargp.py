@@ -12,9 +12,10 @@ vector, the posterior approximation is
 
 with ``q(u) = N(m, S)``, ``S = L L^T`` and the factor's diagonal stored in
 log-space. The ELBO and its exact gradients with respect to every trainable
-quantity (m, the S factor, variance, decay exponent, likelihood noise, and
-the phase directions of truncated frequencies) are computed in closed form;
-the finite-difference suite in the tests is the contract for the gradients.
+quantity (m, the S factor, variance, the spectral parameter, likelihood
+noise, and the phase directions of truncated frequencies) are computed in
+closed form; the finite-difference suite in the tests is the contract for
+the gradients.
 
 ``S`` itself is never formed. For a batch, with ``A`` the (N, M) rows of
 ``Phi``, every covariance term goes through ``G = A L``: the variance term
@@ -53,7 +54,7 @@ which exist only during a fit. ``h <= 0`` in exact arithmetic; its rounding
 is clamped, so each step keeps ``P`` positive definite for any gamma in
 (0, 1]. The update is in place: after ``A``'s last use its rows are scaled
 by ``sqrt(-2 scale gamma h)`` and one BLAS ``syrk`` adds ``A^T A`` into
-``P`` with ``beta = 1 - gamma``. The lower factor of ``S`` comes from
+``(1 - gamma) P``. The lower factor of ``S`` comes from
 ``P`` in reversed index order, ``J P J = R R^T`` (``potrf``), then
 ``L = J R^{-T} J`` (``trtri``), all in one reused M x M buffer, so a step
 allocates no M x M array. The Euclidean gradients of ``mean`` and
@@ -69,7 +70,6 @@ updates its moments and the parameters in place.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -83,9 +83,6 @@ from . import harmonics as H
 from . import kernels as K
 from .special_math import num_harmonics
 
-log = logging.getLogger(__name__)
-
-BETA_BOUNDS = (0.05, 10.0)
 VAR_CLAMP = 1e-10  # predictive variances in [-VAR_CLAMP, 0] clamp; below aborts
 PREDICT_ROWS = 512  # rows per predict block: F, A and G of one block fit in cache
 PASS_BYTES = 256 << 10  # one operand's block in an elementwise pass over a large array
@@ -204,7 +201,15 @@ class InducingModel:
 def build_inducing_model(
     spectrum: K.Spectrum, phase_limit: int | None = None, seed: int = 0
 ) -> InducingModel:
-    """Build the basis for a spectrum, skipping zero-eigenvalue frequencies."""
+    """Build the basis for a spectrum, skipping zero-eigenvalue frequencies.
+
+    A family's ``theta`` must start within the bounds ``fit`` keeps it in.
+    """
+    family = spectrum.family
+    if family is not None and not family.bounds[0] <= spectrum.theta <= family.bounds[1]:
+        raise ValueError(
+            f"initial {family.name} = {spectrum.theta} is outside its range {family.bounds}"
+        )
     lam = spectrum.eigenvalues
     floor = EIG_FLOOR * float(np.max(lam))
     if lam[0] <= floor:
@@ -215,9 +220,7 @@ def build_inducing_model(
         counts[ell] = 0 if lam[ell] <= floor else (
             full if phase_limit is None else min(phase_limit, full)
         )
-    basis = H.build_basis(
-        spectrum.dim, spectrum.max_frequency, counts=counts, seed=seed
-    )
+    basis = H.build_basis(spectrum.dim, spectrum.max_frequency, counts=counts, seed=seed)
     return InducingModel(basis=basis, spectrum=spectrum)
 
 
@@ -235,7 +238,7 @@ class VariationalState:
     mean: np.ndarray
     cov_params: np.ndarray | None
     log_variance: float
-    log_beta: float | None = None
+    log_theta: float | None = None  # the spectral family's parameter, if it has one
     log_noise: float | None = None
     phases: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -248,8 +251,8 @@ class VariationalState:
         return float(np.exp(self.log_variance))
 
     @property
-    def beta(self) -> float | None:
-        return None if self.log_beta is None else float(np.exp(self.log_beta))
+    def theta(self) -> float | None:
+        return None if self.log_theta is None else float(np.exp(self.log_theta))
 
     @property
     def noise_variance(self) -> float | None:
@@ -264,12 +267,8 @@ class VariationalState:
         return L
 
     def copy(self) -> "VariationalState":
-        return VariationalState(
-            mean=self.mean.copy(),
-            cov_params=self.cov_params.copy(),
-            log_variance=self.log_variance,
-            log_beta=self.log_beta,
-            log_noise=self.log_noise,
+        return replace(
+            self, mean=self.mean.copy(), cov_params=self.cov_params.copy(),
             phases={k: v.copy() for k, v in self.phases.items()},
         )
 
@@ -302,7 +301,7 @@ def init_state(model: InducingModel, likelihood) -> VariationalState:
         mean=np.zeros(m),
         cov_params=cov_params_from_factor(L),
         log_variance=float(np.log(model.spectrum.variance)),
-        log_beta=None if model.spectrum.beta is None else float(np.log(model.spectrum.beta)),
+        log_theta=None if model.spectrum.family is None else float(np.log(model.spectrum.theta)),
         log_noise=(
             float(np.log(likelihood.noise_variance))
             if likelihood.kind == "gaussian"
@@ -318,20 +317,20 @@ def trainable_phases(basis: H.HarmonicBasis) -> dict[int, np.ndarray]:
 
 
 PHASE_PREFIX = "phases_"
-OPTIONAL_BLOCKS = ("log_beta", "log_noise")
+OPTIONAL_BLOCKS = ("log_theta", "log_noise")
 
 
 def pack_state(state: VariationalState) -> dict[str, np.ndarray]:
     """Each trainable block of the state as a float64 array (a copy), by key.
 
     The keys are ``mean`` and ``cov_params``, then those of
-    ``_adam_blocks``; scalars are 0-d arrays. ``elbo_gradients`` and the
+    ``adam_blocks``; scalars are 0-d arrays. ``elbo_gradients`` and the
     checkpoint use the same keys.
     """
-    return {"mean": state.mean.copy(), "cov_params": state.cov_params.copy(), **_adam_blocks(state)}
+    return {"mean": state.mean.copy(), "cov_params": state.cov_params.copy(), **adam_blocks(state)}
 
 
-def _adam_blocks(state: VariationalState) -> dict[str, np.ndarray]:
+def adam_blocks(state: VariationalState) -> dict[str, np.ndarray]:
     """The blocks Adam trains, packed as ``pack_state`` does.
 
     ``log_variance``, then each of ``OPTIONAL_BLOCKS`` the state has, then
@@ -364,10 +363,6 @@ def unpack_state(params: dict[str, np.ndarray]) -> VariationalState:
 # ---------------------------------------------------------------------------
 # covariance structure
 # ---------------------------------------------------------------------------
-
-def _effective_spectrum(model: InducingModel, state: VariationalState) -> K.Spectrum:
-    return K.spectrum_with(model.spectrum, beta=state.beta, variance=state.variance)
-
 
 def _lambda_per_feature(model: InducingModel, spectrum: K.Spectrum) -> np.ndarray:
     lam = spectrum.variance * spectrum.eigenvalues[model.feature_frequencies]
@@ -426,7 +421,7 @@ class _Rows:
 
 def _posterior(model, state, slopes: bool = False, natural=None) -> _Posterior:
     """The per-state part; q(u) is ``natural``'s when given, else the state's."""
-    spec = _effective_spectrum(model, state)
+    spec = model.spectrum.at(state.theta, state.variance)
     L, mean = (state.cov_factor(), state.mean) if natural is None else (natural.L, natural.mean)
     return _Posterior(
         spec=spec,
@@ -579,14 +574,12 @@ def elbo_gradients(model, state, X, y, likelihood, n_total: int, natural=None):
 
     grads = {"log_variance": np.asarray(np.dot(g_lam, lam) + h_total * post.kxx)}
 
-    if state.log_beta is not None:
-        dlam_dbeta = K.poly_decay_beta_gradient(post.spec)
+    if state.log_theta is not None:
+        dlam = post.spec.family.derivative(post.spec.theta, post.spec.max_frequency)
         sigma2 = post.spec.variance
-        per_feature = float(
-            np.dot(g_lam, sigma2 * dlam_dbeta[model.feature_frequencies])
-        )
-        via_kxx = h_total * sigma2 * float(np.dot(K.harmonic_counts(post.spec), dlam_dbeta))
-        grads["log_beta"] = np.asarray((per_feature + via_kxx) * state.beta)
+        per_feature = float(np.dot(g_lam, sigma2 * dlam[model.feature_frequencies]))
+        via_kxx = h_total * sigma2 * float(np.dot(K.harmonic_counts(post.spec), dlam))
+        grads["log_theta"] = np.asarray((per_feature + via_kxx) * state.theta)
 
     if likelihood.kind == "gaussian":
         grads["log_noise"] = np.asarray(
@@ -782,7 +775,7 @@ class FitConfig:
     (0, 1]: gamma = 1 jumps to the current batch's optimum of q(u) (for a
     Gaussian likelihood on the full batch, the collapsed bound's), smaller
     values average over batches. ``lr_hyper`` is Adam's step size for the
-    variance, beta, noise and the phases.
+    variance, the spectral parameter, noise and the phases.
     """
 
     iterations: int = 500
@@ -802,7 +795,7 @@ class TrainResult:
     model: InducingModel
     state: VariationalState
     trace: list  # (iteration, elbo, wallclock seconds)
-    moments: dict  # Adam's, keyed like ``_adam_blocks``
+    moments: dict  # Adam's, keyed like ``adam_blocks``
 
 
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
@@ -837,14 +830,15 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
     """Maximize the ELBO: natural-gradient steps for q(u), Adam for the rest.
 
     q(u) steps with gamma = ``config.lr_variational`` (see the module
-    docstring); the variance, beta, noise and phases take Adam steps
-    (b1=0.9, b2=0.999) of ``config.lr_hyper``. Both use the same batch's
-    terms, from one ``elbo_gradients`` call. Phase rows are projected back
-    to the sphere after every step, and every ELBO call refactors their
-    blocks, so the diagonal prior structure stays exact. The returned
-    model's basis is the one the last steps trained: ``_basis_at`` of the
-    final phases. Deterministic under a fixed seed and single-threaded
-    execution.
+    docstring); the variance, the spectral parameter, the noise and the
+    phases take Adam steps (b1=0.9, b2=0.999) of ``config.lr_hyper``. Both
+    use the same batch's terms, from one ``elbo_gradients`` call. The
+    spectral parameter is clipped to its family's bounds and phase rows are
+    projected back to the sphere after every step; every ELBO call
+    refactors their blocks, so the diagonal prior structure stays exact.
+    The returned model's basis is the one the last steps trained:
+    ``_basis_at`` of the final phases. Deterministic under a fixed seed and
+    single-threaded execution.
     """
     from .data_io import minibatches
 
@@ -856,7 +850,7 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
     if state is None:
         state = init_state(model, likelihood)
     natural = NaturalQ(state, config.lr_variational)
-    params = _adam_blocks(state)
+    params = adam_blocks(state)
     del state  # q(u) lives in ``natural`` from here on, the rest in ``params``
     mom_m = {k: np.zeros_like(v) for k, v in params.items()}
     mom_v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -865,7 +859,6 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
     step = 0
     epoch = 0
     batch_iter = iter(())
-    log_beta_lo, log_beta_hi = np.log(BETA_BOUNDS[0]), np.log(BETA_BOUNDS[1])
 
     for it in range(config.iterations):
         try:
@@ -889,15 +882,16 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
         if not np.isfinite(value):
             raise TrainingDiverged(
                 f"ELBO became non-finite ({value}) at iteration {it}; "
-                f"variance={cur.variance:.3e}, beta={cur.beta}, noise={cur.noise_variance}"
+                f"variance={cur.variance:.3e}, theta={cur.theta}, noise={cur.noise_variance}"
             )
         step += 1
         corr1 = 1.0 - _B1**step
         corr2 = 1.0 - _B2**step
         for key, grad in grads.items():
             _adam_step(params[key], mom_m[key], mom_v[key], grad, config.lr_hyper, corr1, corr2)
-        if "log_beta" in params:
-            np.clip(params["log_beta"], log_beta_lo, log_beta_hi, out=params["log_beta"])
+        if "log_theta" in params:
+            lo, hi = model.spectrum.family.bounds
+            np.clip(params["log_theta"], np.log(lo), np.log(hi), out=params["log_theta"])
         for key in params:
             if key.startswith(PHASE_PREFIX):
                 params[key] /= np.linalg.norm(params[key], axis=1, keepdims=True)

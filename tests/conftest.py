@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, as the CLI's deterministic mode: on a small host the
+# default thread pool makes the BLAS-heavy tests several times slower
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

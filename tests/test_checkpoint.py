@@ -9,9 +9,9 @@ from sphgp import vargp as V
 from conftest import random_sphere
 
 
-def make_checkpoint(tmp_path, with_moments=True):
+def make_checkpoint(tmp_path, with_moments=True, spec=None):
     rng = np.random.default_rng(0)
-    spec = K.poly_decay_spectrum(1.4, 4, 3, variance=0.9)
+    spec = spec or K.poly_decay_spectrum(1.4, 4, 3, variance=0.9)
     model = V.build_inducing_model(spec, phase_limit=3, seed=0)
     lik = V.GaussianLikelihood(0.05)
     X = random_sphere(rng, 30, 4)
@@ -53,7 +53,7 @@ def test_round_trip_state_fields(tmp_path):
     loaded = CP.load_checkpoint(path)
     assert np.array_equal(loaded.state.mean, ckpt.state.mean)
     assert np.array_equal(loaded.state.cov_params, ckpt.state.cov_params)
-    assert loaded.state.log_beta == ckpt.state.log_beta
+    assert loaded.state.log_theta == ckpt.state.log_theta
     assert loaded.state.log_noise == ckpt.state.log_noise
     assert set(loaded.state.phases) == set(ckpt.state.phases)
     for ell in ckpt.state.phases:
@@ -96,8 +96,48 @@ def test_checkpoint_with_q_u_moments_still_loads(tmp_path):
     np.savez(old_path, **arrays)
     new, old = CP.load_checkpoint(path), CP.load_checkpoint(old_path)
     assert np.array_equal(old.state.cov_params, new.state.cov_params)
+    for moment in ("m", "v"):  # q(u)'s moments are not read
+        assert not {"mean", "cov_params"} & set(old.moments[moment])
     mu_new, v_new = V.predict(new.model, new.state, X)
     mu_old, v_old = V.predict(old.model, old.state, X)
+    assert np.array_equal(mu_old, mu_new)
+    assert np.array_equal(v_old, v_new)
+
+
+@pytest.mark.parametrize("kind", ["poly_decay", "funk_hecke"])
+def test_checkpoint_with_beta_key_names_still_loads(tmp_path, kind):
+    # checkpoints written while beta was the only trained spectral parameter
+    # name it spectrum_beta (NaN without one), state_log_beta and
+    # adam_{m,v}_log_beta, and always carry spectrum_lambda0
+    spec = None
+    if kind == "funk_hecke":
+        spec = K.funk_hecke_spectrum(K.ComposedShape(K.ReluShape(), 2), 4, 3, variance=0.9)
+    path, ckpt, X = make_checkpoint(tmp_path, spec=spec)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    old_names = {
+        "spectrum_theta": "spectrum_beta",
+        "state_log_theta": "state_log_beta",
+        "adam_m_log_theta": "adam_m_log_beta",
+        "adam_v_log_theta": "adam_v_log_beta",
+    }
+    old = {old_names.get(k, k): v for k, v in arrays.items()}
+    old.setdefault("spectrum_lambda0", np.asarray(1.0))
+    assert len(old) == len(arrays) + (kind == "funk_hecke")
+    old_path = tmp_path / "old.npz"
+    np.savez(old_path, **old)
+    new, loaded = CP.load_checkpoint(path), CP.load_checkpoint(old_path)
+    assert np.array_equal(loaded.model.spectrum.eigenvalues, new.model.spectrum.eigenvalues)
+    assert loaded.model.spectrum.family == ckpt.model.spectrum.family
+    assert loaded.model.spectrum.theta == ckpt.model.spectrum.theta
+    assert loaded.state.log_theta == ckpt.state.log_theta
+    assert (loaded.state.log_theta is None) == (kind == "funk_hecke")
+    for moment in ("m", "v"):
+        assert set(loaded.moments[moment]) == set(ckpt.moments[moment])
+        for key, val in ckpt.moments[moment].items():
+            assert np.array_equal(loaded.moments[moment][key], val)
+    mu_new, v_new = V.predict(new.model, new.state, X)
+    mu_old, v_old = V.predict(loaded.model, loaded.state, X)
     assert np.array_equal(mu_old, mu_new)
     assert np.array_equal(v_old, v_new)
 

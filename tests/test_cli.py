@@ -179,6 +179,25 @@ class TestTrain:
         assert "quad_order" in record["message"]
         assert not (tmp_path / "runs").exists()
 
+    def test_initial_beta_outside_its_bounds_fails_before_the_run(self, tmp_path, capsys):
+        # fit keeps beta within the family's bounds, so a start beyond them is an error
+        synthetic.write_regression_csv(tmp_path / "reg.csv", 60, 3, seed=5)
+        (tmp_path / "reg.schema").write_text(synthetic.regression_schema(3))
+        cfg = RunConfig(
+            kernel="poly_decay", beta0=20.0, max_frequency=3, iterations=1,
+            data_csv=str(tmp_path / "reg.csv"), schema=str(tmp_path / "reg.schema"),
+            out_root=str(tmp_path / "runs"),
+        )
+        (tmp_path / "run.cfg").write_text(serialize_config(cfg))
+        rc = cli.main(["train", "--config", str(tmp_path / "run.cfg")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValueError"
+        assert "beta" in record["message"] and "20" in record["message"]
+        assert not (tmp_path / "runs").exists()
+
     def test_metrics_keys_regression(self, regression_run):
         _, _, run_dir = regression_run
         metrics = json.loads((run_dir / "metrics.json").read_text())
@@ -478,6 +497,27 @@ class TestEigvals:
         assert len(list(tmp_path.glob("*.csv"))) == 3
         assert done.stdout.strip().splitlines()[-1] == "[]"
 
+    def test_parameter_of_another_kind_is_rejected(self, tmp_path, capsys):
+        rc = cli.main([
+            "eigvals", "--kernel", "composed_relu:beta=2", "--kernel", "poly_decay:depth=7",
+            "--dim", "5", "--max-frequency", "6", "--out", str(tmp_path),
+        ])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert json.loads(lines[-1])["error"] == "ValueError"
+        assert "beta" in json.loads(lines[-1])["message"]
+        assert not list(tmp_path.glob("*.csv"))
+        # every spec is checked before any file is written
+        for specs in (
+            ["poly_decay:depth=7"], ["poly_decay:beta=1,lambda0=2"], ["ntk:depth=2", "ntk:beta=1"]
+        ):
+            out = tmp_path / "out"
+            argv = ["eigvals", "--dim", "5", "--max-frequency", "6", "--out", str(out)]
+            for spec in specs:
+                argv += ["--kernel", spec]
+            assert cli.main(argv) == 1, specs
+            assert not out.exists()
+
     def test_unknown_kernel(self, tmp_path, capsys):
         rc = cli.main([
             "eigvals", "--kernel", "matern:nu=2.5", "--dim", "3",
@@ -542,10 +582,7 @@ class TestShippedConfig:
         schema = D.load_schema(CONFIG_DIR.parent / cfg.schema)
         dim = len(schema.features) + 1
         assert D.project_to_sphere(np.ones((1, len(schema.features))), cfg.bias).dim == dim
-        spectrum = cli._build_spectrum(
-            cfg.kernel, dim, cfg.max_frequency, cfg.beta0, cfg.depth,
-            cfg.lambda0, cfg.variance0, cfg.quad_order,
-        )
+        spectrum = K.config_spectrum(cfg, dim)
         model = V.build_inducing_model(spectrum, phase_limit=cfg.phase_limit, seed=cfg.seed)
         counts = [num_harmonics(ell, dim) for ell in range(1, cfg.max_frequency + 1)]
         if cfg.phase_limit is not None:

@@ -38,7 +38,7 @@ def make_problem(likelihood, trained_phases, seed=7, n_rows=N_BATCH):
     np.fill_diagonal(L, np.exp(0.2 * rng.standard_normal(m) - 0.4))
     state.cov_params = V.cov_params_from_factor(L)
     state.log_variance = float(0.3 * rng.standard_normal())
-    state.log_beta = float(np.log(1.8) + 0.2 * rng.standard_normal())
+    state.log_theta = float(np.log(1.8) + 0.2 * rng.standard_normal())
     if trained_phases:
         for ell, Vmat in state.phases.items():
             moved = Vmat + 0.2 * rng.standard_normal(Vmat.shape)
@@ -54,11 +54,11 @@ def make_problem(likelihood, trained_phases, seed=7, n_rows=N_BATCH):
 
 
 def spectrum_terms(model, state):
-    """Per-frequency eigenvalues, their beta slope and N(l, d), from the formulas."""
+    """Per-frequency eigenvalues, their theta (beta) slope and N(l, d), from the formulas."""
     ells = np.arange(LMAX + 1, dtype=np.float64)
     lam_ell = np.empty(LMAX + 1)
-    lam_ell[0] = model.spectrum.lambda0
-    lam_ell[1:] = ells[1:] ** -state.beta
+    lam_ell[0] = model.spectrum.family.lambda0
+    lam_ell[1:] = ells[1:] ** -state.theta
     slope = np.zeros(LMAX + 1)
     slope[1:] = -np.log(ells[1:]) * lam_ell[1:]
     counts = np.array(
@@ -126,7 +126,7 @@ def test_matches_dense_reference(likelihood, trained_phases):
     beta_slope = float(np.dot(ref["lam"], slope_ell[freqs])) + ref["kxx"] * float(
         np.dot(counts, slope_ell)
     )
-    assert grads["log_beta"] == pytest.approx(beta_slope * state.beta, rel=RTOL)
+    assert grads["log_theta"] == pytest.approx(beta_slope * state.theta, rel=RTOL)
     if likelihood.kind == "gaussian":
         assert grads["log_noise"] == pytest.approx(ref["noise"] * state.noise_variance, rel=RTOL)
     else:

@@ -1,6 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from sphgp import harmonics as H
 from sphgp import kernels as K
 from sphgp import vargp as V
 from sphgp.gradcheck import check_gradients, worst_rows
@@ -9,9 +12,32 @@ import oracles
 from conftest import random_sphere
 
 
-def make_problem(seed, likelihood):
+@dataclass(frozen=True)
+class ExpDecay:
+    """The spectral family lambda_l = exp(-theta l), known only to these tests."""
+
+    name = "rate"
+    bounds = (0.1, 4.0)
+
+    def eigenvalues(self, theta, max_frequency):
+        return np.exp(-theta * np.arange(max_frequency + 1.0))
+
+    def derivative(self, theta, max_frequency):
+        ells = np.arange(max_frequency + 1.0)
+        return -ells * np.exp(-theta * ells)
+
+
+def exp_decay_spectrum(theta, dim, max_frequency, variance=1.0):
+    family = ExpDecay()
+    return K.Spectrum(
+        dim=dim, eigenvalues=family.eigenvalues(theta, max_frequency), source="exp_decay",
+        variance=variance, family=family, theta=theta,
+    )
+
+
+def make_problem(seed, likelihood, spec=None):
     rng = np.random.default_rng(seed)
-    spec = K.poly_decay_spectrum(1.8, 4, 3, variance=1.1)
+    spec = spec or K.poly_decay_spectrum(1.8, 4, 3, variance=1.1)
     model = V.build_inducing_model(spec, phase_limit=2, seed=seed)
     state = V.init_state(model, likelihood)
     m = model.num_features
@@ -20,7 +46,7 @@ def make_problem(seed, likelihood):
     np.fill_diagonal(L, np.exp(0.2 * rng.standard_normal(m) - 0.4))
     state.cov_params = V.cov_params_from_factor(L)
     state.log_variance = float(0.3 * rng.standard_normal())
-    state.log_beta = float(np.log(1.8) + 0.2 * rng.standard_normal())
+    state.log_theta = float(np.log(spec.theta) + 0.2 * rng.standard_normal())
     X = random_sphere(rng, 11, 4)
     if likelihood.kind == "gaussian":
         y = rng.standard_normal(11)
@@ -38,7 +64,7 @@ def test_gaussian_gradients_match_finite_differences(seed):
     assert not bad, f"failed coordinates: {[r.parameter for r in bad[:5]]}"
     # every parameter family was exercised
     blocks = set(worst_rows(rows))
-    assert {"mean", "cov_params", "log_variance", "log_beta", "log_noise"} <= blocks
+    assert {"mean", "cov_params", "log_variance", "log_theta", "log_noise"} <= blocks
     assert any(b.startswith("phases_") for b in blocks)
 
 
@@ -49,6 +75,35 @@ def test_bernoulli_gradients_match_finite_differences(link):
     rows = check_gradients(model, state, X, y, lik, n_total=22)
     bad = [r for r in rows if not r.ok]
     assert not bad, f"failed coordinates: {[r.parameter for r in bad[:5]]}"
+
+
+def test_a_family_defined_here_passes_the_check():
+    lik = V.GaussianLikelihood(0.07)
+    model, state, X, y = make_problem(1, lik, spec=exp_decay_spectrum(0.6, 4, 3, variance=1.1))
+    rows = check_gradients(model, state, X, y, lik, n_total=33)
+    bad = [r for r in rows if not r.ok]
+    assert not bad, f"failed coordinates: {[r.parameter for r in bad[:5]]}"
+    assert "log_theta" in worst_rows(rows)
+
+
+def test_a_family_defined_here_trains():
+    # targets drawn from the family's prior at theta = 1; fit moves theta
+    # toward it from either side and raises the ELBO
+    rng = np.random.default_rng(3)
+    truth = V.build_inducing_model(exp_decay_spectrum(1.0, 3, 5))
+    X = random_sphere(rng, 200, 3)
+    F = H.features(truth.basis, X)
+    lam = truth.spectrum.eigenvalues[truth.feature_frequencies]
+    y = F @ (np.sqrt(lam) * rng.standard_normal(lam.size)) + 0.1 * rng.standard_normal(200)
+    lik = V.GaussianLikelihood(0.01)
+    cfg = V.FitConfig(iterations=60, batch_size=200, lr_variational=1.0, lr_hyper=0.05)
+    for theta0 in (0.3, 3.0):
+        model = V.build_inducing_model(exp_decay_spectrum(theta0, 3, 5))
+        res = V.fit(model, X, y, lik, cfg)
+        assert abs(res.state.theta - 1.0) < abs(theta0 - 1.0)
+        assert res.trace[-1][1] > res.trace[0][1]
+    with pytest.raises(ValueError, match="rate"):
+        V.build_inducing_model(exp_decay_spectrum(5.0, 3, 5))
 
 
 def test_corruption_hook_fails_the_check():
@@ -67,8 +122,6 @@ def test_beta_gradient_changes_sign_across_truth():
     dim, lmax, noise = 3, 4, 0.05
     spec_true = K.poly_decay_spectrum(2.0, dim, lmax)
     model = V.build_inducing_model(spec_true, seed=0)
-    from sphgp import harmonics as H
-
     X = random_sphere(rng, 200, dim)
     F = H.features(model.basis, X)
     lam_true = spec_true.eigenvalues[model.feature_frequencies]
@@ -84,9 +137,9 @@ def test_beta_gradient_changes_sign_across_truth():
         state = V.init_state(model_b, lik)
         state.mean = m_star
         state.cov_params = V.cov_params_from_factor(np.linalg.cholesky(s_star))
-        state.log_beta = float(np.log(beta))
+        state.log_theta = float(np.log(beta))
         _, grads = V.elbo_gradients(model_b, state, X, y, lik, 200)
-        return grads["log_beta"]
+        return grads["log_theta"]
 
     assert envelope_gradient(0.8) > 0
     assert envelope_gradient(5.0) < 0

@@ -173,7 +173,8 @@ class TestPolyDecaySpectrum:
         h = 1e-6
         up = K.poly_decay_spectrum(beta + h, 4, 6).eigenvalues
         dn = K.poly_decay_spectrum(beta - h, 4, 6).eigenvalues
-        assert np.allclose(K.poly_decay_beta_gradient(spec), (up - dn) / (2 * h), atol=1e-9)
+        dlam = spec.family.derivative(spec.theta, spec.max_frequency)
+        assert np.allclose(dlam, (up - dn) / (2 * h), atol=1e-9)
 
 
 class TestSpectrumType:
@@ -188,16 +189,17 @@ class TestSpectrumType:
     def test_poly_requires_strict_decrease(self):
         with pytest.raises(ValueError):
             K.Spectrum(
-                dim=3, eigenvalues=np.array([1.0, 1.0, 1.0]), source="poly", beta=1.0
+                dim=3, eigenvalues=np.array([1.0, 1.0, 1.0]), source="poly",
+                family=K.PolyDecay(), theta=1.0,
             )
 
     def test_spectrum_with_updates(self):
         spec = K.poly_decay_spectrum(2.0, 3, 4, variance=1.0)
-        moved = K.spectrum_with(spec, beta=3.0, variance=2.0)
-        assert moved.beta == 3.0 and moved.variance == 2.0
+        moved = spec.at(3.0, 2.0)
+        assert moved.theta == 3.0 and moved.variance == 2.0
         assert moved.eigenvalues[2] == pytest.approx(2.0 ** -3.0)
         fh = K.funk_hecke_spectrum(K.ReluShape(), 3, 4)
-        assert K.spectrum_with(fh, variance=0.5).variance == 0.5
+        assert fh.at(None, 0.5).variance == 0.5
 
 
 class TestMercer:

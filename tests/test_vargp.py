@@ -39,7 +39,7 @@ def random_state(model, rng, likelihood=None, scale=0.3):
 
 def kl(model, state):
     """The ELBO's KL term at the state's own hyperparameters."""
-    lam = V._lambda_per_feature(model, V._effective_spectrum(model, state))
+    lam = V._lambda_per_feature(model, model.spectrum.at(state.theta, state.variance))
     L = state.cov_factor()
     return V._kl_from_parts(lam, state.mean, L, np.sum(L * L, axis=1))
 
@@ -76,7 +76,7 @@ class TestKuuDiag:
         spec = K.poly_decay_spectrum(2.0, 3, 2, variance=1.0)
         model = V.build_inducing_model(spec, seed=0)
         base = 1.0 / V._lambda_per_feature(model, spec)
-        scaled = 1.0 / V._lambda_per_feature(model, K.spectrum_with(spec, variance=5.0))
+        scaled = 1.0 / V._lambda_per_feature(model, spec.at(None, 5.0))
         assert np.allclose(scaled, base / 5.0)
 
     def test_constant_within_frequency(self, truncated_model):
@@ -422,8 +422,8 @@ class TestFit:
         y = 5.0 * rng.standard_normal(30)
         cfg = V.FitConfig(iterations=60, batch_size=30, lr_hyper=0.5, seed=0)
         res = V.fit(truncated_model, X, y, lik, cfg)
-        lo, hi = V.BETA_BOUNDS
-        assert lo <= res.state.beta <= hi
+        lo, hi = truncated_model.spectrum.family.bounds
+        assert lo <= res.state.theta <= hi
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 4)], ids=["0d", "1d", "2d"])
     def test_adam_step_matches_textbook_update(self, shape):
