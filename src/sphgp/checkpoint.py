@@ -17,6 +17,7 @@ from .data_io import Scaler
 
 CHECKPOINT_VERSION = 1
 _MOMENTS = ("m", "v")  # Adam's first and second moments, keyed like the blocks Adam trains
+_LOG_DIAG_FACTOR = "state_cov_params"  # an older name and layout of state_cov_factor
 
 
 @dataclass
@@ -49,8 +50,14 @@ def _state_arrays(state: V.VariationalState) -> dict[str, np.ndarray]:
 
 
 def _state_from_arrays(arrays: dict, basis: H.HarmonicBasis) -> V.VariationalState:
+    """The state of ``state_*`` arrays, at the basis's phases.
+
+    Older checkpoints store the factor as ``state_cov_params``, its diagonal
+    as logs; exponentiating that diagonal gives the factor they trained.
+    """
     m = basis.num_features
-    for key, size in (("state_mean", m), ("state_cov_params", m * (m + 1) // 2)):
+    factor_key = _LOG_DIAG_FACTOR if _LOG_DIAG_FACTOR in arrays else "state_cov_factor"
+    for key, size in (("state_mean", m), (factor_key, m * (m + 1) // 2)):
         if arrays[key].size != size:
             raise ValueError(
                 f"checkpoint {key} has {arrays[key].size} entries but its basis of "
@@ -65,8 +72,13 @@ def _state_from_arrays(arrays: dict, basis: H.HarmonicBasis) -> V.VariationalSta
             continue
         if not np.all(np.isfinite(value)):
             raise ValueError(f"checkpoint {key} holds non-finite values")
-        packed[key[len("state_"):]] = value
+        packed["cov_factor" if key == factor_key else key[len("state_"):]] = value
     state = V.unpack_state(packed)
+    d = np.arange(m)
+    if factor_key == _LOG_DIAG_FACTOR:
+        state.L[d, d] = np.exp(state.L[d, d])
+    if not np.all(state.L[d, d] > 0):
+        raise ValueError(f"checkpoint {factor_key} has a factor diagonal entry <= 0")
     state.phases = V.trainable_phases(basis)
     return state
 

@@ -234,9 +234,8 @@ def cmd_gradcheck(args) -> int:
     state = V.init_state(model, likelihood)
     m = model.num_features
     state.mean = 0.3 * rng.standard_normal(m)
-    L = np.tril(0.1 * rng.standard_normal((m, m)))
-    np.fill_diagonal(L, np.exp(0.2 * rng.standard_normal(m) - 0.4))
-    state.cov_params = V.cov_params_from_factor(L)
+    state.L = np.tril(0.1 * rng.standard_normal((m, m)))
+    np.fill_diagonal(state.L, np.exp(0.2 * rng.standard_normal(m) - 0.4))
     X = rng.standard_normal((16, dim))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     y = rng.standard_normal(16)

@@ -10,12 +10,11 @@ vector, the posterior approximation is
     mean(x) = sum_j lam_j phi_j(x) m_j
     cov(x, x') = k(x, x') + Phi(x)^T (S - K_uu) Phi(x'),   Phi = lam * phi
 
-with ``q(u) = N(m, S)``, ``S = L L^T`` and the factor's diagonal stored in
-log-space. The ELBO and its exact gradients with respect to every trainable
-quantity (m, the S factor, variance, the spectral parameter, likelihood
-noise, and the phase directions of truncated frequencies) are computed in
-closed form; the finite-difference suite in the tests is the contract for
-the gradients.
+with ``q(u) = N(m, S)`` and ``S = L L^T``, ``L`` lower triangular. The
+ELBO and its exact gradients with respect to every trainable quantity (m,
+``L``, variance, the spectral parameter, likelihood noise, and the phase
+directions of truncated frequencies) are computed in closed form; the
+finite-difference suite in the tests is the contract for the gradients.
 
 ``S`` itself is never formed. For a batch, with ``A`` the (N, M) rows of
 ``Phi``, every covariance term goes through ``G = A L``: the variance term
@@ -57,15 +56,13 @@ by ``sqrt(-2 scale gamma h)`` and one BLAS ``syrk`` adds ``A^T A`` into
 ``(1 - gamma) P``. The lower factor of ``S`` comes from
 ``P`` in reversed index order, ``J P J = R R^T`` (``potrf``), then
 ``L = J R^{-T} J`` (``trtri``), all in one reused M x M buffer, so a step
-allocates no M x M array. The Euclidean gradients of ``mean`` and
-``cov_params`` (for the gradient check) are derived from the same step's
-targets.
+allocates no M x M array. The Euclidean gradients of ``mean`` and ``L``
+(for the gradient check) are derived from the same step's targets.
 
 The elementwise passes over the batch run over cache-sized row blocks
 (``PASS_BYTES`` per operand), where a full-size pass would stream arrays
-far larger than L2 from memory. The lower triangle of the covariance factor
-is packed and unpacked row by row through a cached boolean mask, and Adam
-updates its moments and the parameters in place.
+far larger than L2 from memory, and Adam updates its moments and the
+parameters in place.
 """
 
 from __future__ import annotations
@@ -181,9 +178,8 @@ class InducingModel:
         if self.basis.max_frequency > self.spectrum.max_frequency:
             raise ValueError("spectrum does not cover the basis frequencies")
         lam = self.spectrum.eigenvalues
-        floor = EIG_FLOOR * float(np.max(lam))
         for ell, cols, _ in self.basis.blocks():
-            if lam[ell] <= floor:
+            if not lam[ell] > 0:
                 raise ValueError(
                     f"frequency {ell} has eigenvalue {lam[ell]} but carries features; "
                     "zero-eigenvalue frequencies must carry zero features"
@@ -203,7 +199,9 @@ def build_inducing_model(
 ) -> InducingModel:
     """Build the basis for a spectrum, skipping zero-eigenvalue frequencies.
 
-    A family's ``theta`` must start within the bounds ``fit`` keeps it in.
+    A frequency whose eigenvalue is at most ``EIG_FLOOR`` times the largest
+    counts as zero. A family's ``theta`` must start within the bounds
+    ``fit`` keeps it in.
     """
     family = spectrum.family
     if family is not None and not family.bounds[0] <= spectrum.theta <= family.bounds[1]:
@@ -226,17 +224,13 @@ def build_inducing_model(
 
 @dataclass
 class VariationalState:
-    """Trainable parameters: q(u) moments, kernel hypers, phase directions.
+    """Trainable parameters: q(u) = N(mean, L L^T), kernel hypers, phase directions.
 
-    ``cov_params`` packs the lower triangle of the covariance factor row by
-    row with the diagonal stored as logs, which keeps S positive definite
-    under unconstrained steps. It is ``None`` only in the states ``fit``
-    passes to ``elbo_gradients`` together with a ``NaturalQ``, which then
-    holds q(u).
+    ``L`` is the dense lower Cholesky factor of S, with a positive diagonal.
     """
 
     mean: np.ndarray
-    cov_params: np.ndarray | None
+    L: np.ndarray
     log_variance: float
     log_theta: float | None = None  # the spectral family's parameter, if it has one
     log_noise: float | None = None
@@ -258,17 +252,9 @@ class VariationalState:
     def noise_variance(self) -> float | None:
         return None if self.log_noise is None else float(np.exp(self.log_noise))
 
-    def cov_factor(self) -> np.ndarray:
-        m = self.num_features
-        L = np.zeros((m, m))
-        L[_tril_mask(m)] = self.cov_params
-        d = np.arange(m)
-        L[d, d] = np.exp(L[d, d])
-        return L
-
     def copy(self) -> "VariationalState":
         return replace(
-            self, mean=self.mean.copy(), cov_params=self.cov_params.copy(),
+            self, mean=self.mean.copy(), L=self.L.copy(),
             phases={k: v.copy() for k, v in self.phases.items()},
         )
 
@@ -281,13 +267,6 @@ def _tril_mask(m: int) -> np.ndarray:
     return mask
 
 
-def cov_params_from_factor(L: np.ndarray) -> np.ndarray:
-    m = L.shape[0]
-    packed = L[_tril_mask(m)]
-    packed[_diag_positions(m)] = np.log(L[np.arange(m), np.arange(m)])
-    return packed
-
-
 def _diag_positions(m: int) -> np.ndarray:
     return np.cumsum(np.arange(1, m + 1)) - 1
 
@@ -295,11 +274,9 @@ def _diag_positions(m: int) -> np.ndarray:
 def init_state(model: InducingModel, likelihood) -> VariationalState:
     """Prior-matched start: m = 0 and S equal to the diagonal prior."""
     lam = _lambda_per_feature(model, model.spectrum)
-    m = model.num_features
-    L = np.diag(1.0 / np.sqrt(lam))
     return VariationalState(
-        mean=np.zeros(m),
-        cov_params=cov_params_from_factor(L),
+        mean=np.zeros(model.num_features),
+        L=np.diag(1.0 / np.sqrt(lam)),
         log_variance=float(np.log(model.spectrum.variance)),
         log_theta=None if model.spectrum.family is None else float(np.log(model.spectrum.theta)),
         log_noise=(
@@ -323,11 +300,12 @@ OPTIONAL_BLOCKS = ("log_theta", "log_noise")
 def pack_state(state: VariationalState) -> dict[str, np.ndarray]:
     """Each trainable block of the state as a float64 array (a copy), by key.
 
-    The keys are ``mean`` and ``cov_params``, then those of
-    ``adam_blocks``; scalars are 0-d arrays. ``elbo_gradients`` and the
-    checkpoint use the same keys.
+    The keys are ``mean`` and ``cov_factor``, the lower triangle of ``L``
+    row by row, then those of ``adam_blocks``; scalars are 0-d arrays.
+    ``elbo_gradients`` and the checkpoint use the same keys.
     """
-    return {"mean": state.mean.copy(), "cov_params": state.cov_params.copy(), **adam_blocks(state)}
+    factor = state.L[_tril_mask(state.num_features)]
+    return {"mean": state.mean.copy(), "cov_factor": factor, **adam_blocks(state)}
 
 
 def adam_blocks(state: VariationalState) -> dict[str, np.ndarray]:
@@ -346,15 +324,23 @@ def adam_blocks(state: VariationalState) -> dict[str, np.ndarray]:
 
 
 def unpack_state(params: dict[str, np.ndarray]) -> VariationalState:
-    """The state ``pack_state`` packed; arrays are used without copying."""
+    """The state ``pack_state`` packed; ``mean`` and the phases are used without copying."""
+    m = params["mean"].size
+    L = np.zeros((m, m))
+    L[_tril_mask(m)] = params["cov_factor"]
+    return _state_of(params["mean"], L, params)
+
+
+def _state_of(mean, L, blocks: dict[str, np.ndarray]) -> VariationalState:
+    """The state with q(u) = N(mean, L L^T) and ``blocks`` keyed like ``adam_blocks``; no copies."""
     return VariationalState(
-        mean=params["mean"],
-        cov_params=params["cov_params"],
-        log_variance=float(params["log_variance"]),
-        **{key: float(params[key]) for key in OPTIONAL_BLOCKS if key in params},
+        mean=mean,
+        L=L,
+        log_variance=float(blocks["log_variance"]),
+        **{key: float(blocks[key]) for key in OPTIONAL_BLOCKS if key in blocks},
         phases={
             int(key[len(PHASE_PREFIX):]): V
-            for key, V in params.items()
+            for key, V in blocks.items()
             if key.startswith(PHASE_PREFIX)
         },
     )
@@ -419,17 +405,15 @@ class _Rows:
     slopes: dict  # trained block -> d/dt C_l at t = X V^T (only when asked for)
 
 
-def _posterior(model, state, slopes: bool = False, natural=None) -> _Posterior:
-    """The per-state part; q(u) is ``natural``'s when given, else the state's."""
+def _posterior(model, state, slopes: bool = False) -> _Posterior:
     spec = model.spectrum.at(state.theta, state.variance)
-    L, mean = (state.cov_factor(), state.mean) if natural is None else (natural.L, natural.mean)
     return _Posterior(
         spec=spec,
         lam=_lambda_per_feature(model, spec),
         basis=_basis_at(model.basis, state.phases, slopes=slopes),
-        L=L,
-        s_diag=np.einsum("ij,ij->i", L, L),
-        mean=mean,
+        L=state.L,
+        s_diag=np.einsum("ij,ij->i", state.L, state.L),
+        mean=state.mean,
         kxx=K.mercer_diag_value(spec),
     )
 
@@ -499,14 +483,14 @@ class _Batch:
     value: float
 
 
-def _elbo_batch(model, state, X, y, likelihood, n_total: int, slopes=(), natural=None) -> _Batch:
+def _elbo_batch(model, state, X, y, likelihood, n_total: int, slopes=()) -> _Batch:
     X = np.atleast_2d(X)
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     if n_total < X.shape[0]:
         raise ValueError("n_total must be at least the batch size")
-    post = _posterior(model, state, slopes=bool(slopes), natural=natural)
+    post = _posterior(model, state, slopes=bool(slopes))
     rows = _posterior_rows(post, X, slopes=slopes)
     v = _clamp_variances(rows.v)
     e, g, h, dnoise = _expected_loglik(likelihood, y, rows.mu, v, state.noise_variance)
@@ -549,14 +533,12 @@ def _pass_rows(width: int) -> int:
 def elbo_gradients(model, state, X, y, likelihood, n_total: int, natural=None):
     """ELBO value and its exact gradient, keyed like ``pack_state(state)``.
 
-    Scalar blocks are 0-d arrays. With ``natural`` (a ``NaturalQ``) this is
-    one training step of ``fit``: q(u) is ``natural``'s, not the state's,
-    the call takes ``natural``'s step in place, and the gradient leaves out
-    ``mean`` and ``cov_params``.
+    Scalar blocks are 0-d arrays. With ``natural`` (a ``NaturalQ`` holding
+    the state's q(u)) this is one training step of ``fit``: the call takes
+    ``natural``'s step in place, and the gradient leaves out ``mean`` and
+    ``cov_factor``.
     """
-    batch = _elbo_batch(
-        model, state, X, y, likelihood, n_total, slopes=tuple(state.phases), natural=natural
-    )
+    batch = _elbo_batch(model, state, X, y, likelihood, n_total, slopes=tuple(state.phases))
     value, post, scale, g, h = batch.value, batch.post, batch.scale, batch.g, batch.h
     lam, F, A, mu = post.lam, batch.rows.F, batch.rows.A, batch.rows.mu
     mean = post.mean
@@ -672,13 +654,12 @@ def _natural_step(P, theta1, A, g, h, mu, scale: float, lam, gamma: float) -> No
 
 
 def _euclidean_q_gradients(post: _Posterior, A, g, h, mu, scale: float) -> dict:
-    """The ``mean`` and ``cov_params`` gradients, from the natural step's targets.
+    """The ``mean`` and ``cov_factor`` gradients, from the natural step's targets.
 
     With gamma = 1 the step from zero gives the targets ``theta1^`` and
     ``P^``. The ELBO's gradients are then ``d/dm = theta1^ - P^ m`` and
     ``d/dS = (S^{-1} - P^) / 2``, so ``d/dL = L^{-T} - P^ L``, whose lower
-    triangle is ``diag(1 / L_ii) - tril(P^ L)``; the diagonal is then
-    scaled by ``L_ii`` for the log-space parameters. Overwrites ``A``.
+    triangle is ``diag(1 / L_ii) - tril(P^ L)``. Overwrites ``A``.
     """
     lam, L, mean = post.lam, post.L, post.mean
     m = lam.size
@@ -690,11 +671,8 @@ def _euclidean_q_gradients(post: _Posterior, A, g, h, mu, scale: float) -> dict:
     packed = PL[_tril_mask(m)]
     del PL
     np.negative(packed, out=packed)
-    l_diag = np.diag(L)
-    diag = _diag_positions(m)
-    packed[diag] += 1.0 / l_diag
-    packed[diag] *= l_diag
-    return {"mean": grad_mean, "cov_params": packed}
+    packed[_diag_positions(m)] += 1.0 / np.diag(L)
+    return {"mean": grad_mean, "cov_factor": packed}
 
 
 def _reverse_in_place(flat: np.ndarray) -> None:
@@ -718,18 +696,15 @@ class NaturalQ:
     refactoring reuses: ``J P J = R R^T`` by ``potrf``, then ``R^{-1}`` by
     ``trtri``, both in place on the buffer read in Fortran order, and the
     buffer reversed end to end then holds ``J R^{-T} J = L`` in C order.
-    ``J`` reverses the index order.
+    ``J`` reverses the index order. ``mean`` and ``L`` start as copies of
+    the state's, so a step never writes into the state it started from.
     """
 
     def __init__(self, state: VariationalState, gamma: float):
-        m = state.num_features
         self.gamma = gamma
         self.mean = state.mean.copy()
-        self.L = state.cov_factor()
+        self.L = state.L.copy()
         self._buf = self.L.reshape(-1)
-        # Until the first step, ``cov_params`` returns the incoming log-diagonal
-        # itself rather than log(exp(.)) of it.
-        self._log_diag = state.cov_params[_diag_positions(m)]
         P, info = dtrtri(self.L.T, lower=0)  # L^{-T}
         if info == 0:
             P, info = dlauum(P, lower=0, overwrite_c=1)  # L^{-T} L^{-1}
@@ -741,7 +716,6 @@ class NaturalQ:
     def step(self, A, g, h, mu, scale: float, lam) -> None:
         """The natural-gradient step for one batch's terms; overwrites ``A``."""
         _natural_step(self.P, self.theta1, A, g, h, mu, scale, lam, self.gamma)
-        self._log_diag = None
         m = self.mean.size
         W = self._buf.reshape((m, m), order="F")
         np.copyto(W, self.P[::-1, ::-1])  # its lower triangle is J P J's
@@ -754,13 +728,6 @@ class NaturalQ:
             )
         _reverse_in_place(self._buf)
         self.mean = dtrmv(self.L.T, dtrmv(self.L.T, self.theta1), trans=1)  # L L^T theta1
-
-    def cov_params(self) -> np.ndarray:
-        """``L`` packed like ``VariationalState.cov_params``."""
-        packed = cov_params_from_factor(self.L)
-        if self._log_diag is not None:
-            packed[_diag_positions(self.mean.size)] = self._log_diag
-        return packed
 
 
 # ---------------------------------------------------------------------------
@@ -836,9 +803,10 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
     spectral parameter is clipped to its family's bounds and phase rows are
     projected back to the sphere after every step; every ELBO call
     refactors their blocks, so the diagonal prior structure stays exact.
-    The returned model's basis is the one the last steps trained:
-    ``_basis_at`` of the final phases. Deterministic under a fixed seed and
-    single-threaded execution.
+    The returned model's basis and spectrum are the ones the last steps
+    trained: ``_basis_at`` of the final phases, and the spectrum at the
+    final variance and spectral parameter. ``state`` is left unchanged.
+    Deterministic under a fixed seed and single-threaded execution.
     """
     from .data_io import minibatches
 
@@ -867,7 +835,7 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
             batch_iter = minibatches(n_total, config.batch_size, epoch_seed=config.seed + epoch)
             epoch += 1
             idx = next(batch_iter)
-        cur = unpack_state({**params, "mean": natural.mean, "cov_params": None})
+        cur = _state_of(natural.mean, natural.L, params)
         try:
             value, grads = elbo_gradients(
                 model, cur, X[idx], y[idx], likelihood, n_total, natural=natural
@@ -898,9 +866,13 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
         if it % config.log_every == 0 or it == config.iterations - 1:
             trace.append((it, float(value), time.perf_counter() - t_start))
 
-    final = unpack_state({**params, "mean": natural.mean, "cov_params": natural.cov_params()})
+    final = _state_of(natural.mean, natural.L, params)
     phases = {ell: V.copy() for ell, V in final.phases.items()}  # the basis owns its rows
-    model_out = replace(model, basis=H.warn_jitter(_basis_at(model.basis, phases)))
+    model_out = replace(
+        model,
+        basis=H.warn_jitter(_basis_at(model.basis, phases)),
+        spectrum=model.spectrum.at(final.theta, final.variance),
+    )
     return TrainResult(model=model_out, state=final, trace=trace, moments={"m": mom_m, "v": mom_v, "step": step})
 
 

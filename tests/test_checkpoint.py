@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ def test_round_trip_state_fields(tmp_path):
     path, ckpt, _ = make_checkpoint(tmp_path)
     loaded = CP.load_checkpoint(path)
     assert np.array_equal(loaded.state.mean, ckpt.state.mean)
-    assert np.array_equal(loaded.state.cov_params, ckpt.state.cov_params)
+    assert np.array_equal(loaded.state.L, ckpt.state.L)
     assert loaded.state.log_theta == ckpt.state.log_theta
     assert loaded.state.log_noise == ckpt.state.log_noise
     assert set(loaded.state.phases) == set(ckpt.state.phases)
@@ -65,7 +67,7 @@ def test_moments_round_trip(tmp_path):
     loaded = CP.load_checkpoint(path)
     assert loaded.moments is not None
     assert loaded.moments["step"] == ckpt.moments["step"]
-    keys = set(V.pack_state(ckpt.state)) - {"mean", "cov_params"}  # the blocks Adam trains
+    keys = set(V.pack_state(ckpt.state)) - {"mean", "cov_factor"}  # the blocks Adam trains
     for moment in ("m", "v"):
         assert set(ckpt.moments[moment]) == keys
         assert set(loaded.moments[moment]) == keys
@@ -79,7 +81,7 @@ def test_q_u_has_no_adam_moments(tmp_path):
         names = set(data.files)
     assert {"adam_m_log_variance", "adam_v_log_variance"} <= names
     assert not {
-        f"adam_{moment}_{key}" for moment in ("m", "v") for key in ("mean", "cov_params")
+        f"adam_{moment}_{key}" for moment in ("m", "v") for key in ("mean", "cov_factor")
     } & names
 
 
@@ -88,16 +90,16 @@ def test_checkpoint_with_q_u_moments_still_loads(tmp_path):
     path, ckpt, X = make_checkpoint(tmp_path)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
-    m, size = ckpt.state.mean.size, ckpt.state.cov_params.size
+    m, size = ckpt.state.mean.size, V.pack_state(ckpt.state)["cov_factor"].size
     for moment in ("m", "v"):
         arrays[f"adam_{moment}_mean"] = np.full(m, 0.5)
         arrays[f"adam_{moment}_cov_params"] = np.full(size, 0.25)
     old_path = tmp_path / "old.npz"
     np.savez(old_path, **arrays)
     new, old = CP.load_checkpoint(path), CP.load_checkpoint(old_path)
-    assert np.array_equal(old.state.cov_params, new.state.cov_params)
+    assert np.array_equal(old.state.L, new.state.L)
     for moment in ("m", "v"):  # q(u)'s moments are not read
-        assert not {"mean", "cov_params"} & set(old.moments[moment])
+        assert not {"mean", "cov_params", "cov_factor"} & set(old.moments[moment])
     mu_new, v_new = V.predict(new.model, new.state, X)
     mu_old, v_old = V.predict(old.model, old.state, X)
     assert np.array_equal(mu_old, mu_new)
@@ -140,6 +142,60 @@ def test_checkpoint_with_beta_key_names_still_loads(tmp_path, kind):
     mu_old, v_old = V.predict(loaded.model, loaded.state, X)
     assert np.array_equal(mu_old, mu_new)
     assert np.array_equal(v_old, v_new)
+
+
+def test_checkpoint_with_a_log_diagonal_factor_still_loads(tmp_path):
+    # checkpoints written while q(u)'s factor was packed for Adam name it
+    # state_cov_params and store its diagonal as logs
+    path, ckpt, X = make_checkpoint(tmp_path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    m = ckpt.state.num_features
+    diag = np.cumsum(np.arange(1, m + 1)) - 1  # the diagonal's places in the packed triangle
+    packed = arrays.pop("state_cov_factor")
+    packed[diag] = np.log(packed[diag])
+    arrays["state_cov_params"] = packed
+    old_path = tmp_path / "old.npz"
+    np.savez(old_path, **arrays)
+    loaded = CP.load_checkpoint(old_path)
+    want = ckpt.state.L.copy()
+    d = np.arange(m)
+    want[d, d] = np.exp(np.log(want[d, d]))
+    assert np.array_equal(loaded.state.L, want)
+    assert np.array_equal(loaded.state.mean, ckpt.state.mean)
+    mu_old, v_old = V.predict(loaded.model, loaded.state, X)
+    mu_want, v_want = V.predict(ckpt.model, replace(ckpt.state, L=want), X)
+    assert np.array_equal(mu_old, mu_want)
+    assert np.array_equal(v_old, v_want)
+
+
+def test_model_at_the_top_of_the_family_range_saves_and_loads(tmp_path):
+    # at lmax 16, beta = 10 puts lambda_16 = 16**-10 below 1e-12 of lambda_0,
+    # the floor under which build_inducing_model drops a frequency; a trained
+    # model keeps the frequencies it was built with
+    spec = K.poly_decay_spectrum(1.5, 3, 16)
+    model = V.build_inducing_model(spec, phase_limit=2, seed=0)
+    lik = V.GaussianLikelihood(0.05)
+    state = V.init_state(model, lik)
+    state.log_theta = float(np.log(10.0))
+    rng = np.random.default_rng(3)
+    X = random_sphere(rng, 20, 3)
+    res = V.fit(model, X, rng.standard_normal(20), lik, V.FitConfig(iterations=0), state=state)
+    top = res.model.spectrum
+    assert top.theta == res.state.theta
+    assert 0 < top.eigenvalues[16] < 1e-12 * top.eigenvalues[0]
+    ckpt = CP.Checkpoint(
+        model=res.model, state=res.state, likelihood=lik, task="regression", bias=1.0,
+        input_scaler=None, target_scaler=None, config_text="", config_hash="",
+        schema_text="", moments=None,
+    )
+    CP.save_checkpoint(tmp_path / "top.npz", ckpt)
+    loaded = CP.load_checkpoint(tmp_path / "top.npz")
+    assert loaded.model.spectrum.theta == top.theta
+    assert np.array_equal(loaded.model.spectrum.eigenvalues, top.eigenvalues)
+    mu, v = V.predict(loaded.model, loaded.state, X)
+    mu_want, v_want = V.predict(res.model, res.state, X)
+    assert np.array_equal(mu, mu_want) and np.array_equal(v, v_want)
 
 
 def test_scalers_round_trip(tmp_path):

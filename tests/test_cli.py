@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -132,6 +133,13 @@ def classification_run(tmp_path_factory):
     return tmp, cfg, run_dir
 
 
+def assert_finite_numbers(metrics):
+    # a consumer of metrics.json may apply math.isfinite to every value,
+    # which raises on a string or null
+    bad = {k: v for k, v in metrics.items() if type(v) not in (int, float) or not math.isfinite(v)}
+    assert not bad, bad
+
+
 class TestTrain:
     def test_exit_zero_and_artifacts(self, regression_run):
         _, _, run_dir = regression_run
@@ -203,6 +211,14 @@ class TestTrain:
         metrics = json.loads((run_dir / "metrics.json").read_text())
         assert {"rmse", "mean_nll"} <= set(metrics)
         assert "auc" not in metrics
+        assert_finite_numbers(metrics)
+
+    def test_metrics_keys_binary(self, classification_run):
+        _, _, run_dir = classification_run
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        assert {"auc", "mean_nll"} <= set(metrics)
+        assert "rmse" not in metrics
+        assert_finite_numbers(metrics)
 
 
 class TestEval:
@@ -291,14 +307,16 @@ class TestEval:
         "key, value",
         [
             ("state_mean", np.nan),
-            ("state_cov_params", np.inf),
+            ("state_cov_factor", np.inf),
+            ("state_cov_factor", 0.0),
             ("state_log_variance", -np.inf),
             ("state_log_noise", np.inf),
         ],
     )
     def test_non_finite_state_is_a_load_error(self, regression_run, tmp_path, capsys, key, value):
         # without the check a NaN mean scores nan on every row and an inf
-        # factor entry scores a constant, both with exit code 0
+        # factor entry scores a constant, both with exit code 0; entry 0 of
+        # the factor is its first diagonal entry, which must be positive
         tmp, _, run_dir = regression_run
         with np.load(run_dir / "checkpoint.npz", allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
@@ -320,7 +338,7 @@ class TestEval:
         assert key in record["message"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["state_mean", "state_cov_params"])
+    @pytest.mark.parametrize("key", ["state_mean", "state_cov_factor"])
     def test_state_that_does_not_fit_the_basis_is_a_load_error(
         self, regression_run, tmp_path, capsys, key
     ):
@@ -536,7 +554,7 @@ class TestGradcheckCommand:
         assert "ok" in first
 
     def test_corruption_exits_nonzero(self, capsys):
-        assert cli.main(["gradcheck", "--seed", "3", "--corrupt", "cov_params"]) == 1
+        assert cli.main(["gradcheck", "--seed", "3", "--corrupt", "cov_factor"]) == 1
         out = capsys.readouterr()
         assert "FAIL" in out.out
 

@@ -44,7 +44,7 @@ def make_problem(seed, likelihood, spec=None):
     state.mean = 0.4 * rng.standard_normal(m)
     L = np.tril(0.1 * rng.standard_normal((m, m)))
     np.fill_diagonal(L, np.exp(0.2 * rng.standard_normal(m) - 0.4))
-    state.cov_params = V.cov_params_from_factor(L)
+    state.L = L
     state.log_variance = float(0.3 * rng.standard_normal())
     state.log_theta = float(np.log(spec.theta) + 0.2 * rng.standard_normal())
     X = random_sphere(rng, 11, 4)
@@ -64,7 +64,7 @@ def test_gaussian_gradients_match_finite_differences(seed):
     assert not bad, f"failed coordinates: {[r.parameter for r in bad[:5]]}"
     # every parameter family was exercised
     blocks = set(worst_rows(rows))
-    assert {"mean", "cov_params", "log_variance", "log_theta", "log_noise"} <= blocks
+    assert {"mean", "cov_factor", "log_variance", "log_theta", "log_noise"} <= blocks
     assert any(b.startswith("phases_") for b in blocks)
 
 
@@ -136,7 +136,7 @@ def test_beta_gradient_changes_sign_across_truth():
         m_star, s_star = oracles.inducing_optimum(F, lam, y, noise)
         state = V.init_state(model_b, lik)
         state.mean = m_star
-        state.cov_params = V.cov_params_from_factor(np.linalg.cholesky(s_star))
+        state.L = np.linalg.cholesky(s_star)
         state.log_theta = float(np.log(beta))
         _, grads = V.elbo_gradients(model_b, state, X, y, lik, 200)
         return grads["log_theta"]

@@ -33,14 +33,14 @@ def random_state(model, rng, likelihood=None, scale=0.3):
     state.mean = scale * rng.standard_normal(m)
     L = np.tril(0.1 * rng.standard_normal((m, m)))
     np.fill_diagonal(L, np.exp(0.2 * rng.standard_normal(m) - 0.3))
-    state.cov_params = V.cov_params_from_factor(L)
+    state.L = L.copy()
     return state, L
 
 
 def kl(model, state):
     """The ELBO's KL term at the state's own hyperparameters."""
     lam = V._lambda_per_feature(model, model.spectrum.at(state.theta, state.variance))
-    L = state.cov_factor()
+    L = state.L
     return V._kl_from_parts(lam, state.mean, L, np.sum(L * L, axis=1))
 
 
@@ -120,7 +120,7 @@ class TestPredict:
         m_star, s_star = oracles.inducing_optimum(F, lam, y, noise)
         state = V.init_state(full_model, V.GaussianLikelihood(noise))
         state.mean = m_star
-        state.cov_params = V.cov_params_from_factor(np.linalg.cholesky(s_star))
+        state.L = np.linalg.cholesky(s_star)
         Xq = random_sphere(rng, 8, 3)
         mu, var = V.predict(full_model, state, Xq)
         Fq = H.features(full_model.basis, Xq)
@@ -131,9 +131,8 @@ class TestPredict:
     def test_shrunk_covariance_reduces_variance(self, full_model):
         lik = V.GaussianLikelihood(0.1)
         state = V.init_state(full_model, lik)
-        prior_factor = state.cov_factor()
         shrunk = V.init_state(full_model, lik)
-        shrunk.cov_params = V.cov_params_from_factor(prior_factor * 0.5)
+        shrunk.L = state.L * 0.5
         rng = np.random.default_rng(6)
         X = random_sphere(rng, 10, 3)
         _, var_prior = V.predict(full_model, state, X)
@@ -152,7 +151,7 @@ class TestPredict:
         # k(x, x) - sum_j lam_j f_j(x)^2 goes negative at those rows only
         rng = np.random.default_rng(8)
         state = V.init_state(full_model, V.GaussianLikelihood(0.1))
-        state.cov_params = V.cov_params_from_factor(1e-3 * state.cov_factor())
+        state.L = 1e-3 * state.L
         X = random_sphere(rng, 2 * V.PREDICT_ROWS + 3, 3)
         _, var = V.predict(full_model, state, X)
         assert np.all(var > 0.0)
@@ -201,15 +200,11 @@ class TestCovPacking:
         rng = np.random.default_rng(10)
         state, L = random_state(truncated_model, rng)
         m = L.shape[0]
-        factor = state.cov_factor()
-        assert np.array_equal(factor, L)
-        packed = V.cov_params_from_factor(factor)
-        assert np.array_equal(packed, state.cov_params)
+        assert np.array_equal(state.L, L)
+        packed = V.pack_state(state)
         rows, cols = np.tril_indices(m)
-        expected = L[rows, cols]
-        on_diag = rows == cols
-        expected[on_diag] = np.log(L[rows[on_diag], cols[on_diag]])
-        assert np.array_equal(packed, expected)
+        assert np.array_equal(packed["cov_factor"], L[rows, cols])  # raw, with no logs
+        assert np.array_equal(V.unpack_state(packed).L, L)
 
 
 class TestKl:
@@ -224,7 +219,7 @@ class TestKl:
         model = V.InducingModel(basis=basis, spectrum=spec)
         state = V.init_state(model, V.GaussianLikelihood(0.1))
         state.mean = np.array([1.0])
-        state.cov_params = V.cov_params_from_factor(np.array([[1.0]]))
+        state.L = np.array([[1.0]])
         assert kl(model, state) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -289,7 +284,7 @@ class TestElbo:
         m_star, s_star = oracles.inducing_optimum(F, lam, y, noise)
         state = V.init_state(full_model, lik)
         state.mean = m_star
-        state.cov_params = V.cov_params_from_factor(np.linalg.cholesky(s_star))
+        state.L = np.linalg.cholesky(s_star)
         value = V.elbo(full_model, state, X, y, lik, 25)
         log_z = oracles.dense_log_marginal(y, oracles.degenerate_feature_gram(F, lam), noise)
         assert value == pytest.approx(log_z, abs=1e-8)
@@ -353,7 +348,7 @@ class TestFit:
         res = V.fit(truncated_model, X, y, lik, cfg)
         fresh = V.init_state(truncated_model, lik)
         assert np.array_equal(res.state.mean, fresh.mean)
-        assert np.array_equal(res.state.cov_params, fresh.cov_params)
+        assert np.array_equal(res.state.L, fresh.L)
         assert res.trace == []
 
     def test_divergence_guard(self, truncated_model):
@@ -403,6 +398,35 @@ class TestFit:
             assert np.array_equal(got.gram_chol, want.gram_chol)
             assert got.jitter == want.jitter
 
+    def test_returned_spectrum_is_the_trained_one(self, truncated_model):
+        lik = V.GaussianLikelihood(0.1)
+        rng = np.random.default_rng(23)
+        X = random_sphere(rng, 40, 4)
+        y = rng.standard_normal(40)
+        cfg = V.FitConfig(iterations=10, batch_size=20, seed=2, lr_hyper=0.05)
+        res = V.fit(truncated_model, X, y, lik, cfg)
+        got, start = res.model.spectrum, truncated_model.spectrum
+        assert got.theta == res.state.theta != start.theta
+        assert got.variance == res.state.variance != start.variance
+        assert np.array_equal(got.eigenvalues, start.at(res.state.theta, 1.0).eigenvalues)
+
+    def test_fit_leaves_its_starting_state_unchanged(self, truncated_model):
+        lik = V.GaussianLikelihood(0.1)
+        rng = np.random.default_rng(24)
+        state, _ = random_state(truncated_model, rng, lik)
+        before = state.copy()
+        X = random_sphere(rng, 40, 4)
+        y = rng.standard_normal(40)
+        cfg = V.FitConfig(iterations=5, batch_size=20, seed=3, lr_variational=0.5)
+        res = V.fit(truncated_model, X, y, lik, cfg, state=state)
+        assert not np.array_equal(res.state.L, before.L)
+        assert np.array_equal(state.L, before.L)
+        assert np.array_equal(state.mean, before.mean)
+        assert state.phases.keys() == before.phases.keys()
+        for ell, Vmat in before.phases.items():
+            assert np.array_equal(state.phases[ell], Vmat)
+            assert not np.array_equal(res.state.phases[ell], Vmat)
+
     def test_deterministic_under_seed(self, truncated_model):
         lik = V.GaussianLikelihood(0.1)
         rng = np.random.default_rng(20)
@@ -412,7 +436,7 @@ class TestFit:
         a = V.fit(truncated_model, X, y, lik, cfg)
         b = V.fit(truncated_model, X, y, lik, cfg)
         assert np.array_equal(a.state.mean, b.state.mean)
-        assert np.array_equal(a.state.cov_params, b.state.cov_params)
+        assert np.array_equal(a.state.L, b.state.L)
         assert [v for _, v, _ in a.trace] == [v for _, v, _ in b.trace]
 
     def test_beta_stays_in_bounds(self, truncated_model):
@@ -472,13 +496,13 @@ class TestNaturalStep:
         # lr_hyper 1e-12 holds the hyperparameters where the optimum was taken
         cfg = V.FitConfig(iterations=1, batch_size=60, lr_variational=1.0, lr_hyper=1e-12)
         state = V.fit(full_model, X, y, lik, cfg).state
-        L = state.cov_factor()
+        L = state.L
         np.testing.assert_allclose(state.mean, m_star, rtol=1e-9, atol=1e-9 * np.abs(m_star).max())
         np.testing.assert_allclose(L @ L.T, s_star, rtol=1e-9, atol=1e-9 * np.abs(s_star).max())
 
         _, at_start = V.elbo_gradients(full_model, start, X, y, lik, 60)
         _, at_optimum = V.elbo_gradients(full_model, state, X, y, lik, 60)
-        for key in ("mean", "cov_params"):
+        for key in ("mean", "cov_factor"):
             size = np.abs(at_start[key]).max()
             assert np.abs(at_optimum[key]).max() <= 1e-8 * size, key
 
@@ -496,7 +520,7 @@ class TestNaturalStep:
     def test_fit_from_a_mid_run_state_continues(self, full_model):
         # hyperparameters held (lr_hyper 1e-12), full batch: q(u) alone carries
         # the run, and resuming rebuilds P = L^{-T} L^{-1} and theta1 = P m
-        # from the packed state, which moves them by rounding only
+        # from the state's factor, which moves them by rounding only
         lik = V.GaussianLikelihood(0.1)
         rng = np.random.default_rng(42)
         X = random_sphere(rng, 50, 3)
@@ -509,7 +533,7 @@ class TestNaturalStep:
         straight = run(8)
         resumed = run(4, state=run(4))
         np.testing.assert_allclose(resumed.mean, straight.mean, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(resumed.cov_params, straight.cov_params, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(resumed.L, straight.L, rtol=1e-10, atol=1e-12)
 
     def test_factor_and_mean_follow_p_and_theta1(self, truncated_model):
         rng = np.random.default_rng(43)
@@ -517,7 +541,7 @@ class TestNaturalStep:
         state, L0 = random_state(truncated_model, rng, lik)
         q = V.NaturalQ(state, 0.4)
         np.testing.assert_allclose(sym(q.P), np.linalg.inv(L0 @ L0.T), rtol=1e-10, atol=1e-10)
-        assert np.array_equal(q.L, state.cov_factor()) and np.array_equal(q.mean, state.mean)
+        assert np.array_equal(q.L, state.L) and np.array_equal(q.mean, state.mean)
         X = random_sphere(rng, 30, 4)
         y = (rng.random(30) < 0.5).astype(float)
         V.elbo_gradients(truncated_model, state, X, y, lik, 90, natural=q)
@@ -622,7 +646,7 @@ class TestLeanStep:
             value, grads = V.elbo_gradients(truncated_model, state, X, y, lik, 100, natural=q)
             results.append((value, grads, q))
         (value, grads, q), others = results[0], results[1:]
-        assert "mean" not in grads and "cov_params" not in grads
+        assert "mean" not in grads and "cov_factor" not in grads
         for other_value, other_grads, other_q in others:
             assert other_value == value
             for key in grads:
@@ -652,8 +676,8 @@ class TestLeanStep:
 
     def test_peak_memory_of_one_gradient_call(self):
         # The Euclidean gradient (the gradient check's) forms the step's
-        # target P^ and then P^ L densely: with L that is 3 M^2 at the peak,
-        # next to F and A (2 N M; A S is freed by then), plus at most three
+        # target P^ and then P^ L densely: 2 M^2 at the peak (L is the
+        # state's own), next to F and A (2 N M; A S is freed by then), plus at most three
         # cache-sized pass blocks. Earlier in the call F, A, G, the trained
         # blocks' slopes and the basis refactoring stay below 5 N M.
         m, peak = self._peak_of_one_call(256, natural_step=False)
