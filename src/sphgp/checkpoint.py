@@ -1,12 +1,18 @@
 """Versioned model checkpoints: basis, spectrum, variational state, scalers.
 
 Everything is stored as plain arrays in an ``.npz`` container (no pickling),
-so checkpoints are portable and diffable by key.
+so checkpoints are portable and diffable by key; this module is the one place
+that knows their layout. A spectrum is ``spectrum_dim`` and
+``spectrum_eigenvalues``; one with a family adds the family's row name in
+``kernels.KINDS`` as ``spectrum_family`` and each of the family's fields as
+``spectrum_family_<field>``. Theta and the variance are saved once, as
+``state_log_theta`` and ``state_log_variance``, and the loader builds the
+spectrum at them. ``_current_layout`` holds every rule for older layouts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,7 +23,7 @@ from .data_io import Scaler
 
 CHECKPOINT_VERSION = 1
 _MOMENTS = ("m", "v")  # Adam's first and second moments, keyed like the blocks Adam trains
-_LOG_DIAG_FACTOR = "state_cov_params"  # an older name and layout of state_cov_factor
+_Q_MOMENTS = {f"adam_{m}_{key}" for m in _MOMENTS for key in ("mean", "cov_params")}  # older files
 
 
 @dataclass
@@ -42,22 +48,13 @@ def _state_arrays(state: V.VariationalState) -> dict[str, np.ndarray]:
     """
     packed = {key: np.asarray(np.nan) for key in V.OPTIONAL_BLOCKS}
     packed.update(V.pack_state(state))
-    return {
-        f"state_{key}": value
-        for key, value in packed.items()
-        if not key.startswith(V.PHASE_PREFIX)
-    }
+    return {f"state_{k}": v for k, v in packed.items() if not k.startswith(V.PHASE_PREFIX)}
 
 
 def _state_from_arrays(arrays: dict, basis: H.HarmonicBasis) -> V.VariationalState:
-    """The state of ``state_*`` arrays, at the basis's phases.
-
-    Older checkpoints store the factor as ``state_cov_params``, its diagonal
-    as logs; exponentiating that diagonal gives the factor they trained.
-    """
+    """The state of ``state_*`` arrays, at the basis's phases."""
     m = basis.num_features
-    factor_key = _LOG_DIAG_FACTOR if _LOG_DIAG_FACTOR in arrays else "state_cov_factor"
-    for key, size in (("state_mean", m), (factor_key, m * (m + 1) // 2)):
+    for key, size in (("state_mean", m), ("state_cov_factor", m * (m + 1) // 2)):
         if arrays[key].size != size:
             raise ValueError(
                 f"checkpoint {key} has {arrays[key].size} entries but its basis of "
@@ -72,15 +69,29 @@ def _state_from_arrays(arrays: dict, basis: H.HarmonicBasis) -> V.VariationalSta
             continue
         if not np.all(np.isfinite(value)):
             raise ValueError(f"checkpoint {key} holds non-finite values")
-        packed["cov_factor" if key == factor_key else key[len("state_"):]] = value
+        packed[key[len("state_"):]] = value
     state = V.unpack_state(packed)
     d = np.arange(m)
-    if factor_key == _LOG_DIAG_FACTOR:
-        state.L[d, d] = np.exp(state.L[d, d])
     if not np.all(state.L[d, d] > 0):
-        raise ValueError(f"checkpoint {factor_key} has a factor diagonal entry <= 0")
+        raise ValueError("checkpoint state_cov_factor has a factor diagonal entry <= 0")
     state.phases = V.trainable_phases(basis)
     return state
+
+
+def _spectrum_from_arrays(arrays: dict, state: V.VariationalState) -> K.Spectrum:
+    """The spectrum of the ``spectrum_*`` arrays at the state's theta and variance."""
+    family = None
+    if "spectrum_family" in arrays:
+        name = str(arrays["spectrum_family"])
+        family_type = getattr(K.KINDS.get(name), "family", None)
+        if family_type is None:
+            raise ValueError(f"checkpoint spectrum_family {name!r} is no family of kernels.KINDS")
+        fixed = {f.name: arrays[f"spectrum_family_{f.name}"].item() for f in fields(family_type)}
+        family = family_type(**fixed)
+    if (family is None) != (state.log_theta is None):
+        raise ValueError("a checkpoint has spectrum_family exactly when it has state_log_theta")
+    spec = K.Spectrum(int(arrays["spectrum_dim"]), arrays["spectrum_eigenvalues"], family=family)
+    return spec.at(state.theta, state.variance)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -91,11 +102,19 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "config_text": np.asarray(ckpt.config_text),
         "config_hash": np.asarray(ckpt.config_hash),
         "schema_text": np.asarray(ckpt.schema_text),
-        # likelihood
         "likelihood_kind": np.asarray(ckpt.likelihood.kind),
         "likelihood_link": np.asarray(getattr(ckpt.likelihood, "link", "")),
+        "spectrum_dim": np.asarray(ckpt.model.spectrum.dim, dtype=np.int64),
+        "spectrum_eigenvalues": ckpt.model.spectrum.eigenvalues,
     }
-    arrays.update(K.spectrum_to_arrays(ckpt.model.spectrum))
+    family = ckpt.model.spectrum.family
+    if family is not None:
+        names = [name for name, kind in K.KINDS.items() if kind.family is type(family)]
+        if not names:
+            raise ValueError(f"family {type(family).__name__} has no row in kernels.KINDS")
+        arrays["spectrum_family"] = np.asarray(names[0])
+        for f in fields(family):
+            arrays[f"spectrum_family_{f.name}"] = np.asarray(getattr(family, f.name))
     arrays.update(_state_arrays(ckpt.state))
     arrays.update(H.basis_to_arrays(ckpt.model.basis))
     if ckpt.input_scaler is not None:
@@ -112,24 +131,46 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     np.savez(path, **arrays)
 
 
+def _current_layout(data) -> dict:
+    """The arrays of an open checkpoint file in today's layout: every rule for older files.
+
+    ``*_beta`` keys are now ``*_theta``. A NaN ``spectrum_theta`` marks a spectrum
+    without a family, a finite one a ``poly_decay`` spectrum with a bare
+    ``spectrum_lambda0``; theta, ``spectrum_source`` and ``spectrum_variance`` are
+    otherwise unused: theta and the variance are the state's. ``state_cov_params``
+    is q(u)'s factor with its diagonal as logs; Adam's moments of q(u) are unread.
+    """
+    names = {name[:-4] + "theta" if name.endswith("_beta") else name: name for name in data.files}
+    arrays = {key: data[name] for key, name in names.items() if key not in _Q_MOMENTS}
+    theta = arrays.get("spectrum_theta")
+    if theta is not None and not np.isnan(theta):
+        arrays["spectrum_family"] = np.asarray("poly_decay")
+        arrays["spectrum_family_lambda0"] = arrays["spectrum_lambda0"]
+    if "state_cov_params" in arrays:
+        factor = arrays["state_cov_factor"] = arrays.pop("state_cov_params")
+        d = np.cumsum(np.arange(1, arrays["state_mean"].size + 1)) - 1  # the diagonal's places
+        if d.size and d[-1] < factor.size:
+            factor[d] = np.exp(factor[d])
+    return arrays
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at ``path``; of Adam's moments only those of the state's blocks are read."""
+    """The checkpoint at ``path``; of Adam's moments only those of the state's blocks are kept."""
     with np.load(path, allow_pickle=False) as data:
-        names = {K.current_key(k): k for k in data.files}
-        arrays = {k: data[name] for k, name in names.items() if not k.startswith("adam_")}
-        version = int(arrays["checkpoint_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        basis = H.basis_from_arrays(arrays)
-        model = V.InducingModel(basis=basis, spectrum=K.spectrum_from_arrays(arrays))
-        state = _state_from_arrays(arrays, basis)
-        moments = None
-        if "adam_step" in names:
-            moments = {"step": int(data["adam_step"])}
-            for moment in _MOMENTS:
-                moments[moment] = {
-                    key: data[names[f"adam_{moment}_{key}"]] for key in V.adam_blocks(state)
-                }
+        arrays = _current_layout(data)
+    version = int(arrays["checkpoint_version"])
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    basis = H.basis_from_arrays(arrays)
+    state = _state_from_arrays(arrays, basis)
+    model = V.InducingModel(basis=basis, spectrum=_spectrum_from_arrays(arrays, state))
+    moments = None
+    if "adam_step" in arrays:
+        moments = {"step": int(arrays["adam_step"])}
+        for moment in _MOMENTS:
+            moments[moment] = {
+                key: arrays[f"adam_{moment}_{key}"] for key in V.adam_blocks(state)
+            }
     kind = str(arrays["likelihood_kind"])
     if kind == "gaussian":
         if state.log_noise is None:
@@ -137,28 +178,16 @@ def load_checkpoint(path) -> Checkpoint:
         likelihood = V.GaussianLikelihood(noise_variance=state.noise_variance)
     else:
         likelihood = V.BernoulliLikelihood(link=str(arrays["likelihood_link"]))
-    input_scaler = None
+    input_scaler = target_scaler = None
     if "input_scaler_mean" in arrays:
-        input_scaler = Scaler(
-            mean=np.asarray(arrays["input_scaler_mean"], dtype=np.float64),
-            std=np.asarray(arrays["input_scaler_std"], dtype=np.float64),
-        )
-    target_scaler = None
+        input_scaler = Scaler(mean=arrays["input_scaler_mean"], std=arrays["input_scaler_std"])
     if "target_scaler_mean" in arrays:
         target_scaler = Scaler(
-            mean=np.asarray(arrays["target_scaler_mean"], dtype=np.float64)[0],
-            std=np.asarray(arrays["target_scaler_std"], dtype=np.float64)[0],
+            mean=arrays["target_scaler_mean"][0], std=arrays["target_scaler_std"][0]
         )
     return Checkpoint(
-        model=model,
-        state=state,
-        likelihood=likelihood,
-        task=str(arrays["task"]),
-        bias=float(arrays["bias"]),
-        input_scaler=input_scaler,
-        target_scaler=target_scaler,
-        config_text=str(arrays["config_text"]),
-        config_hash=str(arrays["config_hash"]),
-        schema_text=str(arrays["schema_text"]),
-        moments=moments,
+        model=model, state=state, likelihood=likelihood, task=str(arrays["task"]),
+        bias=float(arrays["bias"]), input_scaler=input_scaler, target_scaler=target_scaler,
+        config_text=str(arrays["config_text"]), config_hash=str(arrays["config_hash"]),
+        schema_text=str(arrays["schema_text"]), moments=moments,
     )

@@ -3,9 +3,9 @@
 Every command reads only its arguments, the config file, and the declared
 environment variable ``SPHGP_DATA_DIR`` (dataset root). Failures exit
 nonzero after printing a one-line JSON error record to stderr.
-Deterministic mode (the default) pins the numeric libraries to one thread;
-``--parallel`` lifts that and relaxes bit-reproducibility to
-tolerance-reproducibility.
+By default every command pins the numeric libraries to one thread and is
+bit-reproducible; ``--parallel``, the one thread switch, lifts that and
+relaxes bit-reproducibility to tolerance-reproducibility.
 
 ``train`` builds its model from the schema's input dimension before it
 reads the CSV, and makes the run directory only once the data has loaded,
@@ -271,22 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        det = p.add_mutually_exclusive_group()
-        det.add_argument(
-            "--deterministic", action="store_true", default=True,
-            help="single-threaded, bit-reproducible mode (default)",
-        )
-        det.add_argument(
-            "--parallel", dest="deterministic", action="store_false",
-            help="allow threaded numerics; reproducible only to tolerance",
-        )
-
     p_train = sub.add_parser("train", help="train a model from a config file")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", default=None, help="output root (default from config)")
     p_train.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV")
@@ -294,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--schema", default=None)
     p_eval.add_argument("--out", required=True)
-    common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_eig = sub.add_parser("eigvals", help="export relative eigenvalue decay CSVs")
@@ -307,21 +294,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.add_argument("--max-frequency", type=int, required=True)
     p_eig.add_argument("--quad-order", type=int, default=0)
     p_eig.add_argument("--out", required=True)
-    common(p_eig)
     p_eig.set_defaults(func=cmd_eigvals)
 
     p_gc = sub.add_parser("gradcheck", help="verify analytic gradients on a synthetic problem")
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
-    common(p_gc)
     p_gc.set_defaults(func=cmd_gradcheck)
 
+    for p in (p_train, p_eval, p_eig, p_gc):
+        p.add_argument(
+            "--parallel", action="store_true",
+            help="allow threaded numerics; reproducible only to tolerance",
+        )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.deterministic:
+    if not args.parallel:
         _pin_threads()
     try:
         return args.func(args)

@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-KERNEL_KINDS = ("poly_decay", "composed_relu", "ntk")
+from .kernels import KINDS
 
 
 class ConfigError(ValueError):
@@ -46,8 +46,8 @@ class RunConfig:
     out_root: str = "runs"
 
     def __post_init__(self):
-        if self.kernel not in KERNEL_KINDS:
-            raise ConfigError(f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}")
+        if self.kernel not in KINDS:
+            raise ConfigError(f"kernel must be one of {tuple(KINDS)}, got {self.kernel!r}")
         for name in ("beta0", "lambda0", "variance0", "noise0", "bias"):
             _require_positive(name, getattr(self, name))
         if self.depth < 1:

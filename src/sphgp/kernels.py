@@ -13,17 +13,23 @@ diagonal, so the package only evaluates that sum on the diagonal, where it is
 ``variance * sum_l N(l, d) lambda_l`` (``mercer_diag_value``).
 
 A spectrum of a family (``PolyDecay``: ``l**-beta``) has one trainable
-parameter ``theta``; Funk-Hecke spectra have no family and stay fixed. The
-module also builds the spectrum of a kernel kind and owns its checkpoint arrays.
+parameter ``theta``; Funk-Hecke spectra have no family and stay fixed.
+
+``KINDS``, the one table of kernel kinds, maps each kind name to the one
+parameter it takes and to how its spectrum is built. ``config_spectrum``,
+``parse_spectrum`` (``sphgp eigvals --kernel``) and the ``checkpoint`` module
+all read it, so a new family is a new row. ``checkpoint`` owns the
+``spectrum_*`` keys, which name a family by its row here, and the rules for
+reading older checkpoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
-from .config import KERNEL_KINDS
 from .special_math import (
     clamp_inner_product,
     funk_hecke_constant,
@@ -42,8 +48,6 @@ EIG_CLAMP = 1e-10  # quadrature results in [-EIG_CLAMP, 0] clamp to 0; below abo
 
 class ReluShape:
     """Angular factor of the first-order arc-cosine kernel, scaled to 1 at t=1."""
-
-    name = "relu_arccos"
 
     def __call__(self, t):
         t = clamp_inner_product(t)
@@ -64,7 +68,6 @@ class ComposedShape:
             raise ValueError(f"depth must be >= 1, got {depth}")
         self.base = base
         self.depth = depth
-        self.name = f"composed({getattr(base, 'name', 'shape')},{depth})"
 
     def __call__(self, t):
         v = np.asarray(t, dtype=np.float64)
@@ -87,7 +90,6 @@ class NtkShape:
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         self.depth = depth
-        self.name = f"ntk_relu({depth})"
         self._relu = ReluShape()
 
     def __call__(self, t):
@@ -142,7 +144,6 @@ class Spectrum:
 
     dim: int
     eigenvalues: np.ndarray
-    source: str
     variance: float = 1.0
     family: PolyDecay | None = None  # or any object with PolyDecay's members
     theta: float | None = None
@@ -179,13 +180,7 @@ def poly_decay_spectrum(
     beta: float, dim: int, max_frequency: int, lambda0: float = 1.0, variance: float = 1.0
 ) -> Spectrum:
     """Spectrum lambda_l = l**-beta for l >= 1; the l=0 term is ``lambda0``."""
-    if not beta > 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    family = PolyDecay(float(lambda0))
-    return Spectrum(
-        dim=dim, eigenvalues=family.eigenvalues(beta, max_frequency),
-        source=f"poly_decay(beta={beta:g})", variance=variance, family=family, theta=float(beta),
-    )
+    return KINDS["poly_decay"].spectrum(beta, dim, max_frequency, variance, lambda0=float(lambda0))
 
 
 def funk_hecke_spectrum(
@@ -230,84 +225,69 @@ def funk_hecke_spectrum(
             f"eigenvalue {worst:.3e} below -{EIG_CLAMP:.0e}: shape function is not "
             "positive definite on the sphere (or the quadrature failed)"
         )
-    lam = np.maximum(lam, 0.0)
-    name = getattr(shape, "name", getattr(shape, "__name__", "shape"))
-    return Spectrum(
-        dim=dim, eigenvalues=lam, source=f"funk_hecke({name})", variance=variance
-    )
+    return Spectrum(dim=dim, eigenvalues=np.maximum(lam, 0.0), variance=variance)
 
 
 # ---------------------------------------------------------------------------
-# kernel kinds and checkpoint arrays
+# kernel kinds
 # ---------------------------------------------------------------------------
 
-_KIND_ALIASES = {"poly": "poly_decay", "relu": "composed_relu"}
+@dataclass(frozen=True)
+class Kind:
+    """A kernel kind: its one parameter and how its spectrum is built, as a
+    ``family`` at the parameter (> 0, it trains) or by quadrature of ``shape(parameter)``."""
+
+    param: str
+    cast: type
+    family: type | None = None
+    shape: Callable | None = None
+
+    def spectrum(self, value, dim, max_frequency, variance=1.0, quad_order=0, **fixed):
+        """The spectrum at ``value``; ``fixed`` sets the family's fields, else their defaults."""
+        if self.family is None:
+            shape = self.shape(value)
+            return funk_hecke_spectrum(shape, dim, max_frequency, quad_order or None, variance)
+        if not value > 0:
+            raise ValueError(f"{self.param} must be > 0, got {value}")
+        family = self.family(**fixed)
+        lam = family.eigenvalues(value, max_frequency)
+        return Spectrum(dim, lam, variance, family, float(value))
 
 
-def _kind_spectrum(
-    kind, dim, max_frequency, beta=1.0, depth=1, lambda0=1.0, variance=1.0, quad_order=0
-):
-    if kind == "poly_decay":
-        return poly_decay_spectrum(beta, dim, max_frequency, lambda0, variance)
-    shape = ComposedShape(ReluShape(), depth) if kind == "composed_relu" else NtkShape(depth)
-    return funk_hecke_spectrum(shape, dim, max_frequency, quad_order or None, variance)
+KINDS = {
+    "poly_decay": Kind("beta", float, family=PolyDecay),
+    "composed_relu": Kind("depth", int, shape=lambda depth: ComposedShape(ReluShape(), depth)),
+    "ntk": Kind("depth", int, shape=NtkShape),
+}
 
 
 def config_spectrum(cfg, dim: int) -> Spectrum:
-    """The prior spectrum of a run config, at input dimension ``dim``."""
-    return _kind_spectrum(
-        cfg.kernel, dim, cfg.max_frequency, cfg.beta0, cfg.depth, cfg.lambda0, cfg.variance0,
-        cfg.quad_order,
-    )
+    """The prior spectrum of a run config, at input dimension ``dim``.
+
+    A family's parameter trains, so the config holds its start, ``<param>0``;
+    the family's fields are the config keys of the same names.
+    """
+    kind = KINDS[cfg.kernel]
+    value = getattr(cfg, kind.param + "0" if kind.family else kind.param)
+    fixed = {f.name: getattr(cfg, f.name) for f in fields(kind.family)} if kind.family else {}
+    return kind.spectrum(value, dim, cfg.max_frequency, cfg.variance0, cfg.quad_order, **fixed)
 
 
 def parse_spectrum(text: str, dim: int, max_frequency: int, quad_order: int = 0) -> Spectrum:
     """The unit-variance spectrum of ``poly_decay:beta=1.5``, ``ntk:depth=2``, ... (default 1)."""
-    name, _, rest = text.partition(":")
-    kind = _KIND_ALIASES.get(name.strip(), name.strip())
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel {kind!r} (use {'|'.join(KERNEL_KINDS)})")
-    takes, cast = ("beta", float) if kind == "poly_decay" else ("depth", int)
-    params = {}
+    name, _, rest = (part.strip() for part in text.partition(":"))
+    if name not in KINDS:
+        raise ValueError(f"unknown kernel {name!r} (use {'|'.join(KINDS)})")
+    kind = KINDS[name]
+    values = []
     for key, _, val in (piece.partition("=") for piece in rest.split(",") if rest):
-        if key.strip() != takes:
-            raise ValueError(f"kernel {kind} takes only {takes}, not {key.strip()!r}")
-        params[takes] = cast(val.strip())
-    return _kind_spectrum(kind, dim, max_frequency, quad_order=quad_order, **params)
-
-
-def spectrum_to_arrays(spec: Spectrum) -> dict[str, np.ndarray]:
-    """``spectrum_*`` arrays; without a family ``spectrum_theta`` is NaN and there is no lambda0."""
-    arrays = {
-        "spectrum_dim": np.asarray(spec.dim, dtype=np.int64),
-        "spectrum_eigenvalues": spec.eigenvalues,
-        "spectrum_source": np.asarray(spec.source),
-        "spectrum_variance": np.asarray(spec.variance, dtype=np.float64),
-        "spectrum_theta": np.asarray(
-            np.nan if spec.family is None else spec.theta, dtype=np.float64
-        ),
-    }
-    if spec.family is not None:
-        arrays["spectrum_lambda0"] = np.asarray(spec.family.lambda0, dtype=np.float64)
-    return arrays
-
-
-def spectrum_from_arrays(arrays) -> Spectrum:
-    theta = float(arrays["spectrum_theta"])
-    family = None if np.isnan(theta) else PolyDecay(float(arrays["spectrum_lambda0"]))
-    return Spectrum(
-        dim=int(arrays["spectrum_dim"]),
-        eigenvalues=np.asarray(arrays["spectrum_eigenvalues"], dtype=np.float64),
-        source=str(arrays["spectrum_source"]),
-        variance=float(arrays["spectrum_variance"]),
-        family=family,
-        theta=None if family is None else theta,
-    )
-
-
-def current_key(key: str) -> str:
-    """A checkpoint key's current name: ``spectrum_beta`` and ``*_log_beta`` now end in theta."""
-    return key[: -len("beta")] + "theta" if key.endswith("_beta") else key
+        if key.strip() != kind.param:
+            raise ValueError(f"kernel {name} takes only {kind.param}, not {key.strip()!r}")
+        values.append(kind.cast(val.strip()))
+    if len(values) > 1:
+        raise ValueError(f"kernel {name} takes {kind.param} once, got it {len(values)} times")
+    value = values[0] if values else kind.cast(1)
+    return kind.spectrum(value, dim, max_frequency, quad_order=quad_order)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from sphgp import data_io as D
 from sphgp import kernels as K
 from sphgp import vargp as V
 
-from conftest import random_sphere
+from conftest import ExpDecay, exp_decay_spectrum, random_sphere
 
 
 def make_checkpoint(tmp_path, with_moments=True, spec=None):
@@ -106,14 +106,62 @@ def test_checkpoint_with_q_u_moments_still_loads(tmp_path):
     assert np.array_equal(v_old, v_new)
 
 
+def theta_layout(arrays, spec):
+    """``arrays`` as checkpoints stored them while a spectrum kept its own theta,
+    variance and label: ``spectrum_theta`` (NaN without a family),
+    ``spectrum_variance``, ``spectrum_source`` and, with a family, a bare
+    ``spectrum_lambda0``."""
+    old = {k: v for k, v in arrays.items() if not k.startswith("spectrum_family")}
+    old["spectrum_theta"] = np.asarray(np.nan if spec.family is None else spec.theta)
+    old["spectrum_variance"] = np.asarray(spec.variance)
+    old["spectrum_source"] = np.asarray("poly_decay(beta=1.4)" if spec.family else "funk_hecke")
+    if spec.family is not None:
+        old["spectrum_lambda0"] = np.asarray(spec.family.lambda0)
+    return old
+
+
+def assert_loads_like(loaded, new, ckpt, X):
+    assert np.array_equal(loaded.model.spectrum.eigenvalues, new.model.spectrum.eigenvalues)
+    assert loaded.model.spectrum.family == ckpt.model.spectrum.family
+    assert loaded.model.spectrum.theta == ckpt.model.spectrum.theta
+    assert loaded.model.spectrum.variance == ckpt.model.spectrum.variance
+    assert loaded.state.log_theta == ckpt.state.log_theta
+    for moment in ("m", "v"):
+        assert set(loaded.moments[moment]) == set(ckpt.moments[moment])
+        for key, val in ckpt.moments[moment].items():
+            assert np.array_equal(loaded.moments[moment][key], val)
+    mu_new, v_new = V.predict(new.model, new.state, X)
+    mu_old, v_old = V.predict(loaded.model, loaded.state, X)
+    assert np.array_equal(mu_old, mu_new)
+    assert np.array_equal(v_old, v_new)
+
+
+def relu_spectrum():
+    return K.funk_hecke_spectrum(K.ComposedShape(K.ReluShape(), 2), 4, 3, variance=0.9)
+
+
+@pytest.mark.parametrize("kind", ["poly_decay", "composed_relu"])
+def test_checkpoint_with_theta_in_its_spectrum_still_loads(tmp_path, kind):
+    spec = relu_spectrum() if kind == "composed_relu" else None
+    path, ckpt, X = make_checkpoint(tmp_path, spec=spec)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    old = theta_layout(arrays, ckpt.model.spectrum)
+    assert {"spectrum_theta", "spectrum_variance", "spectrum_source"} <= set(old)
+    assert ("spectrum_lambda0" in old) == (kind == "poly_decay")
+    assert np.isnan(old["spectrum_theta"]) == (kind == "composed_relu")
+    np.savez(tmp_path / "old.npz", **old)
+    new, loaded = CP.load_checkpoint(path), CP.load_checkpoint(tmp_path / "old.npz")
+    assert (loaded.state.log_theta is None) == (kind == "composed_relu")
+    assert_loads_like(loaded, new, ckpt, X)
+
+
 @pytest.mark.parametrize("kind", ["poly_decay", "funk_hecke"])
 def test_checkpoint_with_beta_key_names_still_loads(tmp_path, kind):
     # checkpoints written while beta was the only trained spectral parameter
     # name it spectrum_beta (NaN without one), state_log_beta and
     # adam_{m,v}_log_beta, and always carry spectrum_lambda0
-    spec = None
-    if kind == "funk_hecke":
-        spec = K.funk_hecke_spectrum(K.ComposedShape(K.ReluShape(), 2), 4, 3, variance=0.9)
+    spec = relu_spectrum() if kind == "funk_hecke" else None
     path, ckpt, X = make_checkpoint(tmp_path, spec=spec)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
@@ -123,25 +171,61 @@ def test_checkpoint_with_beta_key_names_still_loads(tmp_path, kind):
         "adam_m_log_theta": "adam_m_log_beta",
         "adam_v_log_theta": "adam_v_log_beta",
     }
-    old = {old_names.get(k, k): v for k, v in arrays.items()}
+    theta_era = theta_layout(arrays, ckpt.model.spectrum)
+    old = {old_names.get(k, k): v for k, v in theta_era.items()}
     old.setdefault("spectrum_lambda0", np.asarray(1.0))
-    assert len(old) == len(arrays) + (kind == "funk_hecke")
+    assert len(old) == len(theta_era) + (kind == "funk_hecke")
     old_path = tmp_path / "old.npz"
     np.savez(old_path, **old)
     new, loaded = CP.load_checkpoint(path), CP.load_checkpoint(old_path)
-    assert np.array_equal(loaded.model.spectrum.eigenvalues, new.model.spectrum.eigenvalues)
-    assert loaded.model.spectrum.family == ckpt.model.spectrum.family
-    assert loaded.model.spectrum.theta == ckpt.model.spectrum.theta
-    assert loaded.state.log_theta == ckpt.state.log_theta
     assert (loaded.state.log_theta is None) == (kind == "funk_hecke")
-    for moment in ("m", "v"):
-        assert set(loaded.moments[moment]) == set(ckpt.moments[moment])
-        for key, val in ckpt.moments[moment].items():
-            assert np.array_equal(loaded.moments[moment][key], val)
-    mu_new, v_new = V.predict(new.model, new.state, X)
-    mu_old, v_old = V.predict(loaded.model, loaded.state, X)
-    assert np.array_equal(mu_old, mu_new)
-    assert np.array_equal(v_old, v_new)
+    assert_loads_like(loaded, new, ckpt, X)
+
+
+def test_spectrum_keys_hold_no_theta_or_variance(tmp_path):
+    path, ckpt, _ = make_checkpoint(tmp_path)
+    with np.load(path) as data:
+        spectrum_keys = {k: data[k] for k in data.files if k.startswith("spectrum_")}
+    assert set(spectrum_keys) == {
+        "spectrum_dim", "spectrum_eigenvalues", "spectrum_family", "spectrum_family_lambda0",
+    }
+    assert spectrum_keys["spectrum_family"] == "poly_decay"
+    assert spectrum_keys["spectrum_family_lambda0"] == ckpt.model.spectrum.family.lambda0
+
+
+def test_a_family_added_to_the_kind_table_round_trips(tmp_path, monkeypatch):
+    with pytest.raises(ValueError, match="ExpDecay has no row in kernels.KINDS"):
+        make_checkpoint(tmp_path, spec=exp_decay_spectrum(0.7, 4, 3, variance=0.9))
+    monkeypatch.setitem(K.KINDS, "exp_decay", K.Kind("rate", float, family=ExpDecay))
+    path, ckpt, X = make_checkpoint(tmp_path, spec=exp_decay_spectrum(0.7, 4, 3, variance=0.9))
+    with np.load(path) as data:
+        assert {k for k in data.files if k.startswith("spectrum_family")} == {"spectrum_family"}
+        assert data["spectrum_family"] == "exp_decay"
+    loaded = CP.load_checkpoint(path)
+    assert loaded.model.spectrum.family == ExpDecay()
+    assert loaded.model.spectrum.theta == ckpt.model.spectrum.theta == ckpt.state.theta
+    assert np.array_equal(loaded.model.spectrum.eigenvalues, ckpt.model.spectrum.eigenvalues)
+    mu, v = V.predict(loaded.model, loaded.state, X)
+    mu_want, v_want = V.predict(ckpt.model, ckpt.state, X)
+    assert np.array_equal(mu, mu_want) and np.array_equal(v, v_want)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"spectrum_family": np.asarray("ntk")}, "ntk"),
+        ({"spectrum_family": np.asarray("exp_decay")}, "exp_decay"),
+        ({"state_log_theta": np.asarray(np.nan)}, "state_log_theta"),
+    ],
+)
+def test_a_spectrum_family_the_state_does_not_match_is_a_load_error(tmp_path, change, message):
+    path, _, _ = make_checkpoint(tmp_path, with_moments=False)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays.update(change)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message):
+        CP.load_checkpoint(path)
 
 
 def test_checkpoint_with_a_log_diagonal_factor_still_loads(tmp_path):

@@ -133,6 +133,30 @@ def classification_run(tmp_path_factory):
     return tmp, cfg, run_dir
 
 
+@pytest.fixture(scope="module")
+def composed_relu_run(tmp_path_factory):
+    # a spectrum without a family: nothing of it trains but the variance
+    tmp = tmp_path_factory.mktemp("cli_relu")
+    synthetic.write_regression_csv(tmp / "reg.csv", 200, 3, seed=8)
+    (tmp / "reg.schema").write_text(synthetic.regression_schema(3))
+    cfg = RunConfig(
+        kernel="composed_relu",
+        depth=2,
+        max_frequency=3,
+        phase_limit=4,
+        iterations=10,
+        batch_size=80,
+        data_csv=str(tmp / "reg.csv"),
+        schema=str(tmp / "reg.schema"),
+        out_root=str(tmp / "runs"),
+    )
+    (tmp / "run.cfg").write_text(serialize_config(cfg))
+    rc = cli.main(["train", "--config", str(tmp / "run.cfg")])
+    assert rc == 0
+    run_dir = tmp / "runs" / config_hash(cfg)
+    return tmp, cfg, run_dir
+
+
 def assert_finite_numbers(metrics):
     # a consumer of metrics.json may apply math.isfinite to every value,
     # which raises on a string or null
@@ -280,6 +304,64 @@ class TestEval:
         assert rc == 0
         n_rows = len((tmp_path / "out" / "predictions.csv").read_text().splitlines()) - 1
         assert rows_per_call == [n_rows]
+
+    @pytest.mark.parametrize("run", ["regression_run", "classification_run", "composed_relu_run"])
+    def test_eval_of_the_held_out_rows_reproduces_train_metrics(self, run, request, tmp_path):
+        # train scores its held-out rows in memory; eval scores them through
+        # the saved checkpoint, so the two agree only if save and load lose nothing
+        _, cfg, run_dir = request.getfixturevalue(run)
+        schema = D.load_schema(cfg.schema)
+        _, test = D.split(D.load_csv(cfg.data_csv, schema), cfg.test_fraction, cfg.split_seed)
+        with open(tmp_path / "test.csv", "w", encoding="utf-8") as fh:
+            fh.write(",".join((*schema.features, schema.target)) + "\n")
+            for x, y in zip(test.inputs.tolist(), test.targets.tolist()):
+                fh.write(",".join(map(repr, (*x, y))) + "\n")
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+            "--data", str(tmp_path / "test.csv"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        trained = json.loads((run_dir / "metrics.json").read_text())
+        for key in ("n_train", "n_test", "dropped_rows"):
+            trained.pop(key)
+        assert json.loads((tmp_path / "out" / "metrics.json").read_text()) == trained
+
+    def test_composed_relu_checkpoint_has_no_family(self, composed_relu_run, tmp_path):
+        tmp, cfg, run_dir = composed_relu_run
+        with np.load(run_dir / "checkpoint.npz", allow_pickle=False) as data:
+            assert {k for k in data.files if k.startswith("spectrum_")} == {
+                "spectrum_dim", "spectrum_eigenvalues",
+            }
+            assert np.isnan(data["state_log_theta"])
+        ckpt = CP.load_checkpoint(run_dir / "checkpoint.npz")
+        assert ckpt.model.spectrum.family is None and ckpt.state.log_theta is None
+        assert ckpt.model.spectrum.variance == ckpt.state.variance
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+            "--data", str(tmp / "reg.csv"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        assert set(json.loads((tmp_path / "out" / "metrics.json").read_text())) == {
+            "rmse", "mean_nll",
+        }
+
+    def test_checkpoint_keeps_no_start_theta(self, regression_run):
+        # theta trains, so after training no key may hold its start (beta0 = 1.5)
+        _, cfg, run_dir = regression_run
+        start = (cfg.beta0, np.log(cfg.beta0))
+        with np.load(run_dir / "checkpoint.npz", allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        loaded = CP.load_checkpoint(run_dir / "checkpoint.npz")
+        assert loaded.model.spectrum.theta == loaded.state.theta != cfg.beta0
+        for key, value in arrays.items():
+            if value.dtype.kind == "U":
+                assert key == "config_text" or f"{cfg.beta0:g}" not in str(value), key
+            else:
+                assert not np.isin(start, value).any(), key
 
     def test_tampered_direction_rows_are_a_load_error(self, regression_run, tmp_path, capsys):
         tmp, _, run_dir = regression_run
@@ -536,6 +618,17 @@ class TestEigvals:
             assert cli.main(argv) == 1, specs
             assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["poly_decay:beta=1,beta=2", "ntk:depth=2,depth=2"])
+    def test_repeated_parameter_is_rejected(self, spec, tmp_path, capsys):
+        rc = cli.main([
+            "eigvals", "--kernel", spec, "--dim", "5", "--max-frequency", "6",
+            "--out", str(tmp_path / "out"),
+        ])
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rc == 1
+        assert record["error"] == "ValueError" and "once" in record["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_kernel(self, tmp_path, capsys):
         rc = cli.main([
             "eigvals", "--kernel", "matern:nu=2.5", "--dim", "3",
@@ -574,13 +667,17 @@ class TestParser:
             cli.build_parser().parse_args(argv + ["--seed", "1"])
         assert "--seed" in capsys.readouterr().err
 
-    def test_gradcheck_keeps_seed_and_parallel(self):
+    def test_gradcheck_keeps_seed_and_parallel(self, capsys):
         args = cli.build_parser().parse_args(["gradcheck", "--parallel"])
-        assert args.deterministic is False
+        assert args.parallel is True
         assert args.seed == 0
         args = cli.build_parser().parse_args(["gradcheck", "--seed", "4"])
-        assert args.deterministic is True
+        assert args.parallel is False
         assert args.seed == 4
+        # single-threaded is the default, so there is no flag that asks for it
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["gradcheck", "--deterministic"])
+        assert "--deterministic" in capsys.readouterr().err
 
 
 class TestShippedConfig:

@@ -1,5 +1,3 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
@@ -9,30 +7,7 @@ from sphgp import vargp as V
 from sphgp.gradcheck import check_gradients, worst_rows
 
 import oracles
-from conftest import random_sphere
-
-
-@dataclass(frozen=True)
-class ExpDecay:
-    """The spectral family lambda_l = exp(-theta l), known only to these tests."""
-
-    name = "rate"
-    bounds = (0.1, 4.0)
-
-    def eigenvalues(self, theta, max_frequency):
-        return np.exp(-theta * np.arange(max_frequency + 1.0))
-
-    def derivative(self, theta, max_frequency):
-        ells = np.arange(max_frequency + 1.0)
-        return -ells * np.exp(-theta * ells)
-
-
-def exp_decay_spectrum(theta, dim, max_frequency, variance=1.0):
-    family = ExpDecay()
-    return K.Spectrum(
-        dim=dim, eigenvalues=family.eigenvalues(theta, max_frequency), source="exp_decay",
-        variance=variance, family=family, theta=theta,
-    )
+from conftest import exp_decay_spectrum, random_sphere
 
 
 def make_problem(seed, likelihood, spec=None):

@@ -180,16 +180,16 @@ class TestPolyDecaySpectrum:
 class TestSpectrumType:
     def test_rejects_negative_eigenvalues(self):
         with pytest.raises(ValueError):
-            K.Spectrum(dim=3, eigenvalues=np.array([1.0, -0.1]), source="x")
+            K.Spectrum(dim=3, eigenvalues=np.array([1.0, -0.1]))
 
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
-            K.Spectrum(dim=3, eigenvalues=np.zeros(3), source="x")
+            K.Spectrum(dim=3, eigenvalues=np.zeros(3))
 
     def test_poly_requires_strict_decrease(self):
         with pytest.raises(ValueError):
             K.Spectrum(
-                dim=3, eigenvalues=np.array([1.0, 1.0, 1.0]), source="poly",
+                dim=3, eigenvalues=np.array([1.0, 1.0, 1.0]),
                 family=K.PolyDecay(), theta=1.0,
             )
 
@@ -269,6 +269,6 @@ class TestExport:
         assert ell == "10" and float(rel) <= 1e-3
 
     def test_requires_positive_first_eigenvalue(self, tmp_path):
-        spec = K.Spectrum(dim=3, eigenvalues=np.array([1.0, 0.0, 0.0]), source="const")
+        spec = K.Spectrum(dim=3, eigenvalues=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             K.export_spectrum(spec, tmp_path / "bad.csv")

@@ -215,7 +215,7 @@ class TestKl:
     def test_unit_scalar_case(self):
         # one feature, lambda = 1, m = 1, S = 1 -> KL = 1/2
         basis = H.HarmonicBasis(dim=3, max_frequency=0, sets=())
-        spec = K.Spectrum(dim=3, eigenvalues=np.array([1.0]), source="const")
+        spec = K.Spectrum(dim=3, eigenvalues=np.array([1.0]))
         model = V.InducingModel(basis=basis, spectrum=spec)
         state = V.init_state(model, V.GaussianLikelihood(0.1))
         state.mean = np.array([1.0])
