@@ -10,10 +10,10 @@ relaxes bit-reproducibility to tolerance-reproducibility.
 ``train`` builds its model from the schema's input dimension before it
 reads the CSV, and makes the run directory only once the data has loaded,
 so a bad kernel config or data file fails in seconds and leaves nothing
-behind. ``eval`` checks the schema's input
-dimension against the checkpoint before it reads the CSV, then scores every row once: one ``vargp.predict`` call
-gives the predictive mean and variance of all rows, and both
-``metrics.json`` and ``predictions.csv`` are derived from those arrays.
+behind. ``eval`` checks the schema's task and feature columns against the
+checkpoint before it reads the CSV, then scores every row once: one
+``vargp.predict`` call gives the predictive mean and variance of all rows,
+and both ``metrics.json`` and ``predictions.csv`` are derived from those arrays.
 ``predictions.csv`` is written with one ``%``-format call per row: the index
 as ``%d`` and every value as ``%.10g``, which gives the same bytes as
 ``format(x, ".10g")``.
@@ -146,21 +146,14 @@ def cmd_eval(args) -> int:
     from . import vargp as V
 
     ckpt = CP.load_checkpoint(args.checkpoint)
-    if args.schema:
-        schema = D.load_schema(_resolve_data_path(args.schema))
-    else:
-        schema = D.parse_schema(ckpt.schema_text)
-    if schema.task != ckpt.task:
+    trained = D.parse_schema(ckpt.schema_text)
+    schema = D.load_schema(_resolve_data_path(args.schema)) if args.schema else trained
+    if (schema.task, schema.features) != (ckpt.task, trained.features):
         raise D.DataError(
-            f"checkpoint was trained for task {ckpt.task!r} but the data schema "
-            f"declares {schema.task!r}"
-        )
-    expected_dim = ckpt.model.basis.dim
-    got_dim = len(schema.features) + 1
-    if got_dim != expected_dim:
-        raise D.DataError(
-            f"data projects to dimension {got_dim} but the checkpoint expects "
-            f"{expected_dim}"
+            f"data of task {schema.task!r} with features {','.join(schema.features)} projects "
+            f"to dimension {len(schema.features) + 1}, but the checkpoint expects "
+            f"{ckpt.model.basis.dim}: task {ckpt.task!r} and the features "
+            f"{','.join(trained.features)} its input scaler was fitted to"
         )
     dataset = D.load_csv(_resolve_data_path(args.data), schema)
     X_std = ckpt.input_scaler.transform(dataset.inputs)
@@ -287,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig = sub.add_parser("eigvals", help="export relative eigenvalue decay CSVs")
     p_eig.add_argument(
         "--kernel", action="append", required=True,
-        help="kernel spec, e.g. poly_decay:beta=1.5 | composed_relu:depth=3 | ntk:depth=2 "
-        "(repeatable)",
+        help="kernel spec <kind>:<param>=<value>[,<field>=<value>...], the parameter required "
+        "and the fields the family's, e.g. poly_decay:beta=1.5,lambda0=1.0 | "
+        "composed_relu:depth=3 | ntk:depth=2 (repeatable)",
     )
     p_eig.add_argument("--dim", type=int, required=True)
     p_eig.add_argument("--max-frequency", type=int, required=True)

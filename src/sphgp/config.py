@@ -2,7 +2,9 @@
 
 A config (with defaults materialized) plus the input data bytes fully
 determines a run; runs are stored under a directory named by the config
-hash, so reruns land in the same place.
+hash, so reruns land in the same place. The kernel is a spec in the one
+grammar of ``kernels.parse_kernel`` (``kernel = poly_decay:beta=1.5``), kept
+in canonical form: every field written out, floats with ``repr``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .kernels import KINDS
+from .kernels import KINDS, parse_kernel
 
 
 class ConfigError(ValueError):
@@ -21,10 +23,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    kernel: str = "poly_decay"
-    beta0: float = 1.0
-    depth: int = 3
-    lambda0: float = 1.0
+    kernel: str = "poly_decay:beta=1.0,lambda0=1.0"
     variance0: float = 1.0
     noise0: float = 0.1
     link: str = "probit"
@@ -46,12 +45,14 @@ class RunConfig:
     out_root: str = "runs"
 
     def __post_init__(self):
-        if self.kernel not in KINDS:
-            raise ConfigError(f"kernel must be one of {tuple(KINDS)}, got {self.kernel!r}")
-        for name in ("beta0", "lambda0", "variance0", "noise0", "bias"):
+        try:
+            name, values = parse_kernel(self.kernel)
+        except ValueError as exc:
+            raise ConfigError(f"kernel = {self.kernel}: {exc}") from None
+        spec = ",".join(f"{key}={value!r}" for key, value in values.items())
+        object.__setattr__(self, "kernel", f"{name}:{spec}")
+        for name in ("variance0", "noise0", "bias"):
             _require_positive(name, getattr(self, name))
-        if self.depth < 1:
-            raise ConfigError("depth must be >= 1")
         if self.link not in ("probit", "logit"):
             raise ConfigError(f"link must be probit or logit, got {self.link!r}")
         if self.max_frequency < 0:
@@ -112,6 +113,26 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LEGACY_KEYS = {"beta0": ("beta", "1.0"), "lambda0": ("lambda0", "1.0"), "depth": ("depth", "3")}
+
+
+def _legacy_kernel(kernel: str, old: dict[str, str]) -> str:
+    """The spec of an older config: a bare kind and the ``_LEGACY_KEYS`` (old key: spec field,
+    default) it takes; the rest are dropped. Delete once no config in use names a bare kind."""
+    if ":" in kernel:
+        raise ConfigError(f"kernel = {kernel} is a spec, so {', '.join(old)} must be in it")
+    kind = KINDS.get(kernel)
+    takes = {kind.param, *kind.defaults()} if kind else ()
+    parts = [f"{f}={old.get(key, v)}" for key, (f, v) in _LEGACY_KEYS.items() if f in takes]
+    spec = f"{kernel}:{','.join(parts)}"
+    try:
+        parse_kernel(spec)
+    except ValueError as exc:
+        written = "".join(f", {key} = {val}" for key, val in old.items())
+        raise ConfigError(f"kernel = {kernel}{written}: {exc}") from None
+    return spec
+
+
 def parse_config(text: str) -> RunConfig:
     values = {}
     for raw in text.splitlines():
@@ -121,14 +142,17 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"config line is not key = value: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELDS:
+        if key not in _FIELDS and key not in _LEGACY_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"duplicate config key {key!r}")
         try:
-            values[key] = _parse_value(key, val)
+            values[key] = val if key in _LEGACY_KEYS else _parse_value(key, val)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {val!r} ({exc})") from None
+    old = {key: values.pop(key) for key in _LEGACY_KEYS if key in values}
+    if old or ":" not in values.get("kernel", ":"):
+        values["kernel"] = _legacy_kernel(values.get("kernel", "poly_decay"), old)
     return RunConfig(**values)
 
 
@@ -139,9 +163,5 @@ def load_config(path) -> RunConfig:
 
 def config_hash(cfg: RunConfig) -> str:
     """Stable 16-hex-digit name for the run directory; out_root is excluded."""
-    text = "\n".join(
-        f"{f.name}={_format_value(f.name, getattr(cfg, f.name))}"
-        for f in dataclasses.fields(RunConfig)
-        if f.name != "out_root"
-    )
+    text = serialize_config(dataclasses.replace(cfg, out_root=""))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

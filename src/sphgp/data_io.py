@@ -35,6 +35,8 @@ class Schema:
             raise DataError("schema needs at least one feature column")
         if self.target in self.features:
             raise DataError("target column cannot also be a feature")
+        if len(set(self.features)) < len(self.features):
+            raise DataError(f"a feature column repeats: {','.join(self.features)}")
 
 
 def parse_schema(text: str) -> Schema:
@@ -46,6 +48,8 @@ def parse_schema(text: str) -> Schema:
         if "=" not in line:
             raise DataError(f"schema line is not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries or key not in ("target", "features", "task"):
+            raise DataError(f"{'duplicate' if key in entries else 'unknown'} schema key {key!r}")
         entries[key] = value
     missing = {"target", "features", "task"} - entries.keys()
     if missing:

@@ -16,11 +16,10 @@ A spectrum of a family (``PolyDecay``: ``l**-beta``) has one trainable
 parameter ``theta``; Funk-Hecke spectra have no family and stay fixed.
 
 ``KINDS``, the one table of kernel kinds, maps each kind name to the one
-parameter it takes and to how its spectrum is built. ``config_spectrum``,
-``parse_spectrum`` (``sphgp eigvals --kernel``) and the ``checkpoint`` module
-all read it, so a new family is a new row. ``checkpoint`` owns the
-``spectrum_*`` keys, which name a family by its row here, and the rules for
-reading older checkpoints.
+parameter it takes and to how its spectrum is built. ``parse_kernel`` reads
+the one kernel spec, ``<kind>:<param>=<value>[,<field>=<value>...]``, whose
+fields are the family's, for configs and ``sphgp eigvals``. ``checkpoint``
+owns the ``spectrum_*`` keys, which name a family by its row here.
 """
 
 from __future__ import annotations
@@ -119,6 +118,10 @@ class PolyDecay:
     name = "beta"
     bounds = (0.05, 10.0)
 
+    def __post_init__(self):
+        if not (np.isfinite(self.lambda0) and self.lambda0 > 0):
+            raise ValueError(f"lambda0 must be finite and > 0, got {self.lambda0}")
+
     def eigenvalues(self, theta: float, max_frequency: int) -> np.ndarray:
         ells = np.arange(max_frequency + 1, dtype=np.float64)
         lam = np.empty(max_frequency + 1)
@@ -180,7 +183,8 @@ def poly_decay_spectrum(
     beta: float, dim: int, max_frequency: int, lambda0: float = 1.0, variance: float = 1.0
 ) -> Spectrum:
     """Spectrum lambda_l = l**-beta for l >= 1; the l=0 term is ``lambda0``."""
-    return KINDS["poly_decay"].spectrum(beta, dim, max_frequency, variance, lambda0=float(lambda0))
+    values = {"beta": beta, "lambda0": float(lambda0)}
+    return KINDS["poly_decay"].spectrum(values, dim, max_frequency, variance)
 
 
 def funk_hecke_spectrum(
@@ -234,24 +238,29 @@ def funk_hecke_spectrum(
 
 @dataclass(frozen=True)
 class Kind:
-    """A kernel kind: its one parameter and how its spectrum is built, as a
-    ``family`` at the parameter (> 0, it trains) or by quadrature of ``shape(parameter)``."""
+    """A kernel kind: its one parameter and how its spectrum is built, as a ``family``
+    at the parameter (finite, > 0; it trains) or by quadrature of ``shape(parameter)``."""
 
     param: str
     cast: type
     family: type | None = None
     shape: Callable | None = None
 
-    def spectrum(self, value, dim, max_frequency, variance=1.0, quad_order=0, **fixed):
-        """The spectrum at ``value``; ``fixed`` sets the family's fields, else their defaults."""
+    def defaults(self) -> dict:
+        """The family's fields, which a kernel spec may set, and their defaults."""
+        return {f.name: f.default for f in fields(self.family)} if self.family else {}
+
+    def spectrum(self, values: dict, dim, max_frequency, variance=1.0, quad_order=0):
+        """The spectrum of a spec's ``values``: the parameter, then the family's fields."""
+        theta = values[self.param]
         if self.family is None:
-            shape = self.shape(value)
+            shape = self.shape(theta)
             return funk_hecke_spectrum(shape, dim, max_frequency, quad_order or None, variance)
-        if not value > 0:
-            raise ValueError(f"{self.param} must be > 0, got {value}")
-        family = self.family(**fixed)
-        lam = family.eigenvalues(value, max_frequency)
-        return Spectrum(dim, lam, variance, family, float(value))
+        if not (np.isfinite(theta) and theta > 0):
+            raise ValueError(f"{self.param} must be finite and > 0, got {theta}")
+        family = self.family(**{k: v for k, v in values.items() if k != self.param})
+        lam = family.eigenvalues(theta, max_frequency)
+        return Spectrum(dim, lam, variance, family, float(theta))
 
 
 KINDS = {
@@ -261,33 +270,39 @@ KINDS = {
 }
 
 
-def config_spectrum(cfg, dim: int) -> Spectrum:
-    """The prior spectrum of a run config, at input dimension ``dim``.
-
-    A family's parameter trains, so the config holds its start, ``<param>0``;
-    the family's fields are the config keys of the same names.
-    """
-    kind = KINDS[cfg.kernel]
-    value = getattr(cfg, kind.param + "0" if kind.family else kind.param)
-    fixed = {f.name: getattr(cfg, f.name) for f in fields(kind.family)} if kind.family else {}
-    return kind.spectrum(value, dim, cfg.max_frequency, cfg.variance0, cfg.quad_order, **fixed)
-
-
-def parse_spectrum(text: str, dim: int, max_frequency: int, quad_order: int = 0) -> Spectrum:
-    """The unit-variance spectrum of ``poly_decay:beta=1.5``, ``ntk:depth=2``, ... (default 1)."""
+def parse_kernel(text: str) -> tuple[str, dict]:
+    """The kind and checked values of ``<kind>:<param>=<value>[,<field>=<value>...]``: the
+    parameter, which is required, then each family field, given or at its default."""
     name, _, rest = (part.strip() for part in text.partition(":"))
     if name not in KINDS:
         raise ValueError(f"unknown kernel {name!r} (use {'|'.join(KINDS)})")
     kind = KINDS[name]
-    values = []
-    for key, _, val in (piece.partition("=") for piece in rest.split(",") if rest):
-        if key.strip() != kind.param:
-            raise ValueError(f"kernel {name} takes only {kind.param}, not {key.strip()!r}")
-        values.append(kind.cast(val.strip()))
-    if len(values) > 1:
-        raise ValueError(f"kernel {name} takes {kind.param} once, got it {len(values)} times")
-    value = values[0] if values else kind.cast(1)
-    return kind.spectrum(value, dim, max_frequency, quad_order=quad_order)
+    defaults = kind.defaults()
+    casts = {kind.param: kind.cast, **{key: type(value) for key, value in defaults.items()}}
+    given = {}
+    for key, _, val in (map(str.strip, piece.partition("=")) for piece in rest.split(",") if rest):
+        if key not in casts:
+            raise ValueError(f"kernel {name} takes {', '.join(casts)}, not {key!r}")
+        if key in given:
+            raise ValueError(f"kernel {name} takes {key} once")
+        given[key] = casts[key](val)
+    if kind.param not in given:
+        raise ValueError(f"kernel {name} needs its {kind.param}: {name}:{kind.param}=<value>")
+    values = {kind.param: given[kind.param], **{k: given.get(k, v) for k, v in defaults.items()}}
+    kind.spectrum(values, 3, 0)  # building the family or the shape checks the values
+    return name, values
+
+
+def config_spectrum(cfg, dim: int) -> Spectrum:
+    """The prior spectrum of a run config at input dimension ``dim``."""
+    name, values = parse_kernel(cfg.kernel)
+    return KINDS[name].spectrum(values, dim, cfg.max_frequency, cfg.variance0, cfg.quad_order)
+
+
+def parse_spectrum(text: str, dim: int, max_frequency: int, quad_order: int = 0) -> Spectrum:
+    """The unit-variance spectrum of a kernel spec, ``poly_decay:beta=1.5``, ``ntk:depth=2``..."""
+    name, values = parse_kernel(text)
+    return KINDS[name].spectrum(values, dim, max_frequency, quad_order=quad_order)
 
 
 # ---------------------------------------------------------------------------

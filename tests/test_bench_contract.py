@@ -1,28 +1,35 @@
-"""The functions the benchmark wraps by name still exist.
+"""What the benchmark relies on by name still exists and still means the same.
 
 ``perfbench/child.py`` replaces module attributes to trace each layer and
-to mark the end of set-up at the first ``vargp.fit`` / ``vargp.predict``.
-Renaming one of them breaks the benchmark without failing any other test.
+to mark the end of set-up at the first ``vargp.fit`` / ``vargp.predict``,
+and ``perfbench/workloads.py`` writes the training config of its generated
+workloads. Renaming a wrapped function or a config key breaks the benchmark
+without failing any other test.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from sphgp import kernels as K
 from sphgp import vargp
+from sphgp.config import parse_config
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_child():
-    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-WRAPPED = {(module, attr) for module, attr, _ in load_child().TRACED}
+WORKLOADS = load("workloads")
+WRAPPED = {(module, attr) for module, attr, _ in load("child").TRACED}
 WRAPPED |= {(vargp, "fit"), (vargp, "predict")}
 
 
@@ -33,3 +40,21 @@ WRAPPED |= {(vargp, "fit"), (vargp, "predict")}
 )
 def test_wrapped_attribute_is_callable(module, attr):
     assert callable(getattr(module, attr, None))
+
+
+@pytest.mark.parametrize(
+    "workload", [name for name, w in WORKLOADS.WORKLOADS.items() if w.d_raw]
+)
+def test_generated_config_keeps_its_kernel(workload):
+    # the template names its kernel in an older form; it must still give
+    # poly_decay with beta = 1.0 and lambda0 = 1.0
+    w = WORKLOADS.WORKLOADS[workload]
+    cfg = parse_config(
+        WORKLOADS._CONFIG.format(
+            max_frequency=w.max_frequency, iterations=w.iterations, csv="t.csv", schema="t.schema"
+        )
+    )
+    assert K.parse_kernel(cfg.kernel) == ("poly_decay", {"beta": 1.0, "lambda0": 1.0})
+    spectrum = K.config_spectrum(cfg, w.d_raw + 1)
+    assert spectrum.family == K.PolyDecay(lambda0=1.0) and spectrum.theta == 1.0
+    assert spectrum.max_frequency == w.max_frequency

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from sphgp import checkpoint as CP
 from sphgp import cli, synthetic
 from sphgp import data_io as D
+from sphgp import kernels as K
 from sphgp import vargp as V
 from sphgp.config import (
     ConfigError,
@@ -19,6 +21,8 @@ from sphgp.config import (
     parse_config,
     serialize_config,
 )
+
+from conftest import ExpDecay
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -30,8 +34,8 @@ class TestConfig:
 
     def test_round_trip_custom(self):
         cfg = RunConfig(
-            kernel="ntk", depth=4, phase_limit=17, iterations=12, data_csv="d.csv",
-            schema="s.schema", beta0=2.5, test_fraction=0.25,
+            kernel="ntk:depth=4", phase_limit=17, iterations=12, data_csv="d.csv",
+            schema="s.schema", test_fraction=0.25,
         )
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -80,6 +84,56 @@ class TestConfig:
         with pytest.raises(ConfigError, match=line.split(" = ")[0]):
             parse_config(line + "\n")
 
+    @pytest.mark.parametrize(
+        "spec, canonical",
+        [
+            ("poly_decay:beta=1.5", "poly_decay:beta=1.5,lambda0=1.0"),
+            (" poly_decay : lambda0 = 2 , beta = 1 ", "poly_decay:beta=1.0,lambda0=2.0"),
+            ("composed_relu:depth=2", "composed_relu:depth=2"),
+            ("ntk:depth=4", "ntk:depth=4"),
+        ],
+    )
+    def test_kernel_spec_is_canonical(self, spec, canonical):
+        cfg = parse_config(f"kernel = {spec}\n")
+        assert cfg.kernel == canonical
+        assert cfg == RunConfig(kernel=canonical)
+        assert f"kernel = {canonical}\n" in serialize_config(cfg)
+
+    @pytest.mark.parametrize(
+        "text, spec",
+        [
+            ("kernel = poly_decay\n", "poly_decay:beta=1.0,lambda0=1.0"),
+            ("kernel = ntk\n", "ntk:depth=3"),
+            ("kernel = composed_relu\ndepth = 2\nbeta0 = 3.0\nlambda0 = 2.0\n",
+             "composed_relu:depth=2"),
+            ("beta0 = 2\nlambda0 = 0.5\ndepth = 9\n", "poly_decay:beta=2.0,lambda0=0.5"),
+        ],
+    )
+    def test_old_kernel_keys_become_the_spec(self, text, spec):
+        # older configs name a bare kind; the keys it does not take are dropped
+        assert parse_config(text).kernel == spec
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kernel = matern:nu=2.5\n", "unknown kernel 'matern'"),
+            ("kernel = matern\n", "unknown kernel 'matern'"),
+            ("kernel = poly_decay:beta=1,depth=2\n", "takes beta, lambda0, not 'depth'"),
+            ("kernel = poly_decay:beta=1,beta=2\n", "takes beta once"),
+            ("kernel = poly_decay:lambda0=2\n", "needs its beta"),
+            ("kernel = poly_decay:\n", "needs its beta"),
+            ("kernel = ntk:\n", "needs its depth"),
+            ("kernel = ntk:depth=1.5\n", "invalid literal for int"),
+            ("kernel = ntk:depth=0\n", "depth must be >= 1"),
+            ("kernel = poly_decay:beta=0\n", "beta must be finite and > 0"),
+            ("kernel = poly_decay:beta=1,lambda0=nan\n", "lambda0 must be finite and > 0"),
+            ("kernel = poly_decay:beta=1\nbeta0 = 2\n", "is a spec, so beta0 must be in it"),
+        ],
+    )
+    def test_bad_kernel_spec_fails_at_config_time(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_hash_ignores_out_root(self):
         a = RunConfig(out_root="runs")
         b = RunConfig(out_root="elsewhere")
@@ -93,8 +147,7 @@ def regression_run(tmp_path_factory):
     synthetic.write_regression_csv(tmp / "reg.csv", 300, 3, seed=5)
     (tmp / "reg.schema").write_text(synthetic.regression_schema(3))
     cfg = RunConfig(
-        kernel="poly_decay",
-        beta0=1.5,
+        kernel="poly_decay:beta=1.5",
         max_frequency=3,
         phase_limit=4,
         iterations=40,
@@ -116,8 +169,7 @@ def classification_run(tmp_path_factory):
     synthetic.write_classification_csv(tmp / "cls.csv", 200, 3, seed=6)
     (tmp / "cls.schema").write_text(synthetic.classification_schema(3))
     cfg = RunConfig(
-        kernel="poly_decay",
-        beta0=1.5,
+        kernel="poly_decay:beta=1.5",
         max_frequency=3,
         phase_limit=4,
         iterations=5,
@@ -140,8 +192,7 @@ def composed_relu_run(tmp_path_factory):
     synthetic.write_regression_csv(tmp / "reg.csv", 200, 3, seed=8)
     (tmp / "reg.schema").write_text(synthetic.regression_schema(3))
     cfg = RunConfig(
-        kernel="composed_relu",
-        depth=2,
+        kernel="composed_relu:depth=2",
         max_frequency=3,
         phase_limit=4,
         iterations=10,
@@ -197,7 +248,7 @@ class TestTrain:
     def test_bad_kernel_config_fails_before_reading_data(self, tmp_path, capsys):
         (tmp_path / "reg.schema").write_text(synthetic.regression_schema(3))
         cfg = RunConfig(
-            kernel="composed_relu", max_frequency=5, quad_order=5,
+            kernel="composed_relu:depth=3", max_frequency=5, quad_order=5,
             data_csv=str(tmp_path / "absent.csv"), schema=str(tmp_path / "reg.schema"),
             out_root=str(tmp_path / "runs"),
         )
@@ -211,12 +262,56 @@ class TestTrain:
         assert "quad_order" in record["message"]
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [
+            ("matern:nu=2.5", "unknown kernel 'matern'"),
+            ("poly_decay:beta=1,nu=2.5", "not 'nu'"),
+            ("poly_decay:lambda0=2", "needs its beta"),
+            ("ntk:", "needs its depth"),
+        ],
+    )
+    def test_bad_kernel_fails_at_config_load(self, kernel, message, tmp_path, capsys, monkeypatch):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(V, "build_inducing_model", no_basis)
+        (tmp_path / "run.cfg").write_text(
+            f"kernel = {kernel}\ndata_csv = absent.csv\nschema = absent.schema\n"
+            f"out_root = {tmp_path / 'runs'}\n"
+        )
+        rc = cli.main(["train", "--config", str(tmp_path / "run.cfg")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigError"
+        assert message in record["message"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_family_without_a_config_key_trains(self, tmp_path, monkeypatch):
+        # a family row is all a config needs to name it: nothing in config.py
+        # or cli.py knows the parameter's name
+        monkeypatch.setitem(K.KINDS, "exp_decay", K.Kind("rate", float, family=ExpDecay))
+        synthetic.write_regression_csv(tmp_path / "reg.csv", 120, 3, seed=4)
+        (tmp_path / "reg.schema").write_text(synthetic.regression_schema(3))
+        (tmp_path / "run.cfg").write_text(
+            "kernel = exp_decay:rate=0.5\nmax_frequency = 3\nphase_limit = 4\n"
+            f"iterations = 5\nbatch_size = 60\ndata_csv = {tmp_path / 'reg.csv'}\n"
+            f"schema = {tmp_path / 'reg.schema'}\nout_root = {tmp_path / 'runs'}\n"
+        )
+        assert cli.main(["train", "--config", str(tmp_path / "run.cfg")]) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert "kernel = exp_decay:rate=0.5\n" in (run_dir / "config.cfg").read_text()
+        spectrum = CP.load_checkpoint(run_dir / "checkpoint.npz").model.spectrum
+        assert spectrum.family == ExpDecay() and spectrum.theta != 0.5
+
     def test_initial_beta_outside_its_bounds_fails_before_the_run(self, tmp_path, capsys):
         # fit keeps beta within the family's bounds, so a start beyond them is an error
         synthetic.write_regression_csv(tmp_path / "reg.csv", 60, 3, seed=5)
         (tmp_path / "reg.schema").write_text(synthetic.regression_schema(3))
         cfg = RunConfig(
-            kernel="poly_decay", beta0=20.0, max_frequency=3, iterations=1,
+            kernel="poly_decay:beta=20.0", max_frequency=3, iterations=1,
             data_csv=str(tmp_path / "reg.csv"), schema=str(tmp_path / "reg.schema"),
             out_root=str(tmp_path / "runs"),
         )
@@ -350,16 +445,17 @@ class TestEval:
         }
 
     def test_checkpoint_keeps_no_start_theta(self, regression_run):
-        # theta trains, so after training no key may hold its start (beta0 = 1.5)
+        # theta trains, so after training no key may hold its start (beta = 1.5)
         _, cfg, run_dir = regression_run
-        start = (cfg.beta0, np.log(cfg.beta0))
+        beta = K.parse_kernel(cfg.kernel)[1]["beta"]
+        start = (beta, np.log(beta))
         with np.load(run_dir / "checkpoint.npz", allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
         loaded = CP.load_checkpoint(run_dir / "checkpoint.npz")
-        assert loaded.model.spectrum.theta == loaded.state.theta != cfg.beta0
+        assert loaded.model.spectrum.theta == loaded.state.theta != beta
         for key, value in arrays.items():
             if value.dtype.kind == "U":
-                assert key == "config_text" or f"{cfg.beta0:g}" not in str(value), key
+                assert key == "config_text" or f"{beta:g}" not in str(value), key
             else:
                 assert not np.isin(start, value).any(), key
 
@@ -511,6 +607,31 @@ class TestEval:
         assert record["error"] == "DataError"
         assert "dimension 6" in record["message"] and "expects 4" in record["message"]
 
+    @pytest.mark.parametrize("features", ["x3,x2,x1", "x1,x2,x4"])
+    def test_other_feature_columns_fail_before_reading_data(
+        self, regression_run, tmp_path, capsys, features
+    ):
+        # the input scaler is per column: reordered or renamed columns of the
+        # same width would be scaled by another column's statistics
+        _, _, run_dir = regression_run
+        (tmp_path / "other.schema").write_text(
+            f"target=y\nfeatures={features}\ntask=regression\n"
+        )
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+            "--data", str(tmp_path / "absent.csv"),
+            "--schema", str(tmp_path / "other.schema"),
+            "--out", str(tmp_path / "out"),
+        ])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "DataError"
+        assert features in record["message"] and "x1,x2,x3" in record["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_binary_train_and_eval_leave_scipy_stats_unimported(self, tmp_path):
         import subprocess
         import sys
@@ -609,7 +730,7 @@ class TestEigvals:
         assert not list(tmp_path.glob("*.csv"))
         # every spec is checked before any file is written
         for specs in (
-            ["poly_decay:depth=7"], ["poly_decay:beta=1,lambda0=2"], ["ntk:depth=2", "ntk:beta=1"]
+            ["poly_decay:depth=7"], ["poly_decay:beta=1,depth=2"], ["ntk:depth=2", "ntk:beta=1"]
         ):
             out = tmp_path / "out"
             argv = ["eigvals", "--dim", "5", "--max-frequency", "6", "--out", str(out)]
@@ -627,6 +748,28 @@ class TestEigvals:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert rc == 1
         assert record["error"] == "ValueError" and "once" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_family_fields_are_spec_fields(self, tmp_path):
+        rc = cli.main([
+            "eigvals", "--kernel", "poly_decay:beta=1,lambda0=2", "--dim", "5",
+            "--max-frequency", "6", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        assert len(list(tmp_path.glob("*.csv"))) == 1
+        spectrum = K.parse_spectrum("poly_decay:beta=1,lambda0=2", 5, 6)
+        assert spectrum.eigenvalues[0] == 2.0 and spectrum.family.lambda0 == 2.0
+
+    @pytest.mark.parametrize("spec", ["ntk", "composed_relu:", "poly_decay:lambda0=2"])
+    def test_parameter_is_required(self, spec, tmp_path, capsys):
+        # there is one default, the config's, so a spec without its parameter fails
+        rc = cli.main([
+            "eigvals", "--kernel", spec, "--dim", "5", "--max-frequency", "6",
+            "--out", str(tmp_path / "out"),
+        ])
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rc == 1
+        assert record["error"] == "ValueError" and "needs its" in record["message"]
         assert not (tmp_path / "out").exists()
 
     def test_unknown_kernel(self, tmp_path, capsys):
@@ -690,7 +833,6 @@ class TestShippedConfig:
     def test_builds_its_model_from_the_schema_alone(self, name):
         # the schema fixes d: its feature columns plus the bias coordinate;
         # no CSV is read (d = 78 and 91 have harmonic counts above 2**53)
-        from sphgp import kernels as K
         from sphgp.special_math import num_harmonics
 
         cfg = load_config(CONFIG_DIR / name)
@@ -705,6 +847,20 @@ class TestShippedConfig:
         assert model.basis.dim == dim
         assert model.num_features == 1 + sum(counts)
         assert np.isfinite(K.mercer_diag_value(spectrum))
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+    def test_old_kernel_keys_give_the_same_config(self, name):
+        # the spec form and the older form (a bare kind plus beta0, lambda0,
+        # depth) are one config, so they share a hash and a run directory
+        text = (CONFIG_DIR / name).read_text()
+        cfg = parse_config(text)
+        kind, values = K.parse_kernel(cfg.kernel)
+        old_names = {"beta": "beta0", "lambda0": "lambda0", "depth": "depth"}
+        old_lines = "".join(f"{old_names[k]} = {v!r}\n" for k, v in values.items())
+        old_text = re.sub(r"^kernel = .*\n", f"kernel = {kind}\n{old_lines}", text, flags=re.M)
+        assert old_text != text
+        assert parse_config(old_text) == cfg
+        assert config_hash(parse_config(old_text)) == config_hash(cfg)
 
     def test_shipped_synthetic_config_trains(self, tmp_path, monkeypatch):
         from pathlib import Path

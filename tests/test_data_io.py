@@ -35,6 +35,21 @@ class TestSchema:
         with pytest.raises(D.DataError):
             D.parse_schema("target=a\nfeatures=a,b\ntask=regression\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("target=y\ntarget=z\nfeatures=a\ntask=regression\n", "duplicate schema key 'target'"),
+            ("target=y\nfeatures=a\nfeatures=b\ntask=regression\n", "duplicate schema key"),
+            ("target=y\nfeatures=a\ntask=regression\nweights=w\n", "unknown schema key 'weights'"),
+            ("target=y\nfeatures=a,b,a\ntask=regression\n", "a feature column repeats: a,b,a"),
+        ],
+    )
+    def test_ambiguous_schema_is_an_error(self, text, message):
+        # each of these used to parse: the last target won, unknown keys were
+        # ignored and a repeated feature was read twice
+        with pytest.raises(D.DataError, match=message):
+            D.parse_schema(text)
+
 
 class TestLoadCsv:
     def test_well_formed(self, tmp_path):
