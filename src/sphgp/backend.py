@@ -16,9 +16,9 @@ traffic: a chunk's rotating buffers (256 KB each) stay in a 2 MB L2 cache
 for all the degrees, where full-size buffers stream from memory at every
 step. Below the threshold the buffers fit already and chunking only adds
 per-chunk overhead (a 512 x 100 input at degree 7 went from 0.70 to 0.83 ms
-with 16k-element chunks), so predict's 512-row blocks and the phase Grams
-run in one piece. The chunks call the private kernels, so a wrapper around
-a public name sees one call per input.
+with 16k-element chunks), so predict's 512-row blocks, phase Grams up to
+m = 256 and the repulsion's m(m-1)/2 pairs up to m = 362 run in one piece.
+The chunks call the private kernels: a wrapper sees one call per input.
 
 ``gegenbauer_last_and_slope`` uses
 ``d/dt C_l^{(a)} = 2a C_{l-1}^{(a+1)} = 2 sum_{k = l-1, l-3, ...} (k + a) C_k^{(a)}``,

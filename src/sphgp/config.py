@@ -38,7 +38,7 @@ class RunConfig:
     lr_hyper: float = 0.001  # Adam's step size for the hyperparameters and phases
     log_every: int = 1
     seed: int = 0
-    quad_order: int = 0  # 0 picks the default for the frequency cutoff
+    quad_order: int = 0  # 0 picks the default for the dimension and frequency cutoff
     max_bad_fraction: float = 0.1
     data_csv: str = ""
     schema: str = ""
@@ -136,9 +136,11 @@ def _legacy_kernel(kernel: str, old: dict[str, str]) -> str:
 def parse_config(text: str) -> RunConfig:
     values = {}
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
+        if "#" in line:
+            raise ConfigError(f"'#' starts a comment only at the start of a line: {raw!r}")
         if "=" not in line:
             raise ConfigError(f"config line is not key = value: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))

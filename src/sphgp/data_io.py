@@ -42,9 +42,11 @@ class Schema:
 def parse_schema(text: str) -> Schema:
     entries = {}
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
+        if "#" in line:
+            raise DataError(f"'#' starts a comment only at the start of a line: {raw!r}")
         if "=" not in line:
             raise DataError(f"schema line is not key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))

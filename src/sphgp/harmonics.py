@@ -118,17 +118,31 @@ def _repel_directions(V: np.ndarray, ell: int, dim: int, iters: int) -> np.ndarr
     pushes the normalized Gram of the raw features toward the identity. This
     is frequency aware: for even ell an antipodal pair is just as singular as
     a coincident one, and both are penalized.
+
+    Each pair is evaluated once, on the strict upper triangle of ``V V^T``,
+    and mirrored into one reused m x m buffer that holds c for the energy and
+    then c * c' for the gradient. ``V V^T`` is exactly symmetric (BLAS syrk),
+    so the energy and gradient are summed over the same full matrices, in the
+    same order, as a full evaluation: the output is unchanged to the bit.
     """
     alpha = alpha_for_dim(dim)
     c_one = gegenbauer_at_one(alpha, ell)
+    upper = np.triu(np.ones((len(V), len(V)), dtype=bool), 1)
+    full = np.zeros(upper.shape)  # its diagonal stays 0
+
+    def mirrored(values):
+        full[upper] = values
+        full.T[upper] = values
+        return full
 
     def energy_grad(M):
-        c, cp = backend.gegenbauer_last_and_slope(alpha, ell, direction_cosines(M))
+        t = (M @ M.T)[upper]
+        c, cp = backend.gegenbauer_last_and_slope(alpha, ell, np.clip(t, -1.0, 1.0, out=t))
         c /= c_one
         cp /= c_one
-        np.fill_diagonal(c, 0.0)
-        e = 0.5 * float(np.sum(c * c))
-        return e, (c * cp) @ M
+        e = 0.5 * float(np.sum(np.square(mirrored(c), out=full)))
+        c *= cp
+        return e, mirrored(c) @ M
 
     energy, grad = energy_grad(V)
     step = 0.1

@@ -230,3 +230,157 @@ def phase_block_reference(X, V, ell, dim):
         return grad
 
     return block, vjp
+
+
+def full_matrix_repel_directions(V, ell, dim, iters):
+    """The repulsion of ``harmonics._repel_directions``, evaluated on the full m x m matrix.
+
+    Every ordered pair and the diagonal go through the recurrence, and the
+    diagonal is zeroed afterwards. This is the reference for bit identity,
+    not for the maths: it runs the package's own recurrence so that equal
+    inputs give equal bits, and differs only in evaluating each pair twice.
+    """
+    from sphgp import backend
+    from sphgp.special_math import gegenbauer_at_one
+
+    alpha = (dim - 2) / 2.0
+    c_one = gegenbauer_at_one(alpha, ell)
+
+    def energy_grad(M):
+        t = M @ M.T
+        np.fill_diagonal(t, 1.0)
+        c, cp = backend.gegenbauer_last_and_slope(alpha, ell, np.clip(t, -1.0, 1.0, out=t))
+        c /= c_one
+        cp /= c_one
+        np.fill_diagonal(c, 0.0)
+        return 0.5 * float(np.sum(c * c)), (c * cp) @ M
+
+    energy, grad = energy_grad(V)
+    step = 0.1
+    for _ in range(iters):
+        tangent = grad - np.sum(grad * V, axis=1, keepdims=True) * V
+        trial = V - step * tangent
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        e_trial, g_trial = energy_grad(trial)
+        if e_trial < energy:
+            V, energy, grad = trial, e_trial, g_trial
+            step *= 1.1
+        else:
+            step *= 0.5
+            if step < 1e-7:
+                break
+    return V
+
+
+_FUNK_HECKE_REFERENCE = {  # (kind, depth, d): lambda_0..lambda_8
+    ("composed_relu", 2, 12): (
+        5.055462679955624298e-1,
+        2.5684639741787383685e-2,
+        1.7254274899018080464e-3,
+        7.3158231572605002437e-5,
+        1.0568815351100067992e-5,
+        9.9855019673060677944e-7,
+        3.3816980618555820279e-7,
+        4.9452393156171968381e-8,
+        2.3443227403834231701e-8,
+    ),
+    ("composed_relu", 2, 78): (
+        4.9550762042698369641e-1,
+        3.8803124785106223359e-3,
+        4.4602398565163380074e-5,
+        3.4971380717577244335e-7,
+        9.4090786495930742892e-9,
+        1.7897846753127389861e-10,
+        1.2712391706424782706e-11,
+        4.0619277439704249569e-13,
+        4.4011510676745847193e-14,
+    ),
+    ("composed_relu", 3, 91): (
+        6.0602271847791567961e-1,
+        2.2144138388480381418e-3,
+        2.5886316072230673586e-5,
+        2.7319259178854442731e-7,
+        6.1874069047839681477e-9,
+        1.3980884722007821004e-10,
+        6.4750783855293009285e-12,
+        2.4603300876322918809e-13,
+        1.7215922216714884218e-14,
+    ),
+    ("ntk", 2, 12): (
+        2.4647363567358670387e-1,
+        2.7826335308663240382e-2,
+        2.6571614738316993414e-3,
+        1.6574159742012158353e-4,
+        2.9185990517540818086e-5,
+        3.9777844419776824925e-6,
+        1.4584712267285668268e-6,
+        2.9780743142706828368e-7,
+        1.4490049658766509311e-7,
+    ),
+    ("ntk", 2, 78): (
+        2.3121901235443573744e-1,
+        4.1244837595696383833e-3,
+        6.6697805238988953021e-5,
+        7.4337485428361251584e-7,
+        2.311308776850573662e-8,
+        6.0052257995637283397e-10,
+        4.4351009006683573831e-11,
+        1.8715201975655473131e-12,
+        2.0098524591895958874e-13,
+    ),
+    ("ntk", 3, 91): (
+        2.6694139677531897017e-1,
+        2.5343248702307539791e-3,
+        4.002659602158547282e-5,
+        5.8446285642289808458e-7,
+        1.5643356068413915829e-8,
+        4.5666520948432274176e-10,
+        2.304645588019803227e-11,
+        1.0922870077824760592e-12,
+        7.9882846524543375522e-14,
+    ),
+}
+
+
+def funk_hecke_reference(kind, depth, dim):
+    """Unit-variance Funk-Hecke eigenvalues lambda_0..lambda_8 of ``kind`` at ``depth`` and d.
+
+    Adaptive tanh-sinh quadrature in theta at 60 significant digits, printed
+    to 20; the shapes are written out from their formulas, not taken from
+    ``sphgp.kernels``. Made with mpmath 1.3.0, which neither the package nor
+    the tests import:
+
+        import mpmath as mp
+        mp.mp.dps = 60
+
+        def relu(t):
+            return (t * (mp.pi - mp.acos(t)) + mp.sqrt(1 - t * t)) / mp.pi
+
+        def composed(depth):
+            def k(t):
+                for _ in range(depth):
+                    t = relu(t)
+                return t
+            return k
+
+        def ntk(depth):
+            def k(t):
+                s = theta = t
+                for _ in range(depth):
+                    s, theta = relu(s), relu(s) + theta * (mp.pi - mp.acos(s)) / mp.pi
+                return theta / (depth + 1)
+            return k
+
+        def eigenvalue(shape, dim, ell):
+            a = mp.mpf(dim - 2) / 2
+            c_d = mp.gamma(mp.mpf(dim) / 2) / (mp.sqrt(mp.pi) * mp.gamma(mp.mpf(dim - 1) / 2))
+            f = lambda th: (shape(mp.cos(th)) * mp.gegenbauer(ell, a, mp.cos(th))
+                            * mp.sin(th) ** (dim - 2))
+            nodes = [0, mp.pi / 4, mp.pi / 2, 3 * mp.pi / 4, mp.pi]
+            return c_d * mp.quad(f, nodes) / mp.gegenbauer(ell, a, 1)
+
+        for kind, make in (("composed_relu", composed), ("ntk", ntk)):
+            for dim, depth in ((12, 2), (78, 2), (91, 3)):
+                print([mp.nstr(eigenvalue(make(depth), dim, ell), 20) for ell in range(9)])
+    """
+    return np.array(_FUNK_HECKE_REFERENCE[(kind, depth, dim)])

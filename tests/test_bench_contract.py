@@ -7,15 +7,17 @@ workloads. Renaming a wrapped function or a config key breaks the benchmark
 without failing any other test.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
+from sphgp import data_io as D
 from sphgp import kernels as K
 from sphgp import vargp
-from sphgp.config import parse_config
+from sphgp.config import load_config, parse_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,3 +60,21 @@ def test_generated_config_keeps_its_kernel(workload):
     spectrum = K.config_spectrum(cfg, w.d_raw + 1)
     assert spectrum.family == K.PolyDecay(lambda0=1.0) and spectrum.theta == 1.0
     assert spectrum.max_frequency == w.max_frequency
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS.WORKLOADS))
+def test_generated_config_and_schema_parse(workload, tmp_path):
+    # '#' starts a comment only at the start of a line; inside a line it is an
+    # error, so a path or column the benchmark writes must not hold one. The
+    # inputs are made by ``prepare`` itself, on a table of a few rows.
+    w = WORKLOADS.WORKLOADS[workload]
+    small = dataclasses.replace(w, rows=min(w.rows, 16), eval_rows=min(w.eval_rows, 16))
+    inputs = WORKLOADS.prepare(small, 0, tmp_path)
+    schema = Path(load_config(inputs.config).schema)
+    if not schema.is_absolute():
+        schema = WORKLOADS.ROOT / schema
+    for path, parse in ((inputs.config, parse_config), (schema, D.parse_schema)):
+        text = path.read_text()
+        cut = "".join(line.split("#", 1)[0] + "\n" for line in text.splitlines())
+        assert parse(text) == parse(cut)
+    assert len(D.load_schema(schema).features) == (w.d_raw or 3)

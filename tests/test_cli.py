@@ -134,6 +134,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
+    def test_comment_lines(self):
+        text = "# a run\n  # indented\nseed = 3\n\n"
+        assert parse_config(text) == RunConfig(seed=3)
+
+    @pytest.mark.parametrize(
+        "line", ["data_csv = /data/run#1.csv", "seed = 3  # trailing", "kernel = ntk:depth=2#"]
+    )
+    def test_hash_inside_a_line_is_an_error(self, line):
+        # a value used to be cut at its first '#': data_csv loaded as /data/run
+        with pytest.raises(ConfigError, match=re.escape(repr(line))):
+            parse_config(f"# comment\n{line}\n")
+
     def test_hash_ignores_out_root(self):
         a = RunConfig(out_root="runs")
         b = RunConfig(out_root="elsewhere")
@@ -260,6 +272,25 @@ class TestTrain:
         record = json.loads(lines[0])
         assert record["error"] == "ValueError"
         assert "quad_order" in record["message"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_quad_order_too_low_for_the_dimension_fails_before_reading_data(
+        self, tmp_path, capsys
+    ):
+        # d = 78 needs 92 nodes at lmax 14; 80 clears the old floor, lmax + 16
+        (tmp_path / "reg.schema").write_text(synthetic.regression_schema(77))
+        cfg = RunConfig(
+            kernel="composed_relu:depth=2", max_frequency=14, quad_order=80,
+            data_csv=str(tmp_path / "absent.csv"), schema=str(tmp_path / "reg.schema"),
+            out_root=str(tmp_path / "runs"),
+        )
+        (tmp_path / "run.cfg").write_text(serialize_config(cfg))
+        rc = cli.main(["train", "--config", str(tmp_path / "run.cfg")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ValueError"
+        assert "quad_order must be >= " in record["message"] and "= 92" in record["message"]
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
@@ -847,6 +878,16 @@ class TestShippedConfig:
         assert model.basis.dim == dim
         assert model.num_features == 1 + sum(counts)
         assert np.isfinite(K.mercer_diag_value(spectrum))
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+    def test_reads_as_when_every_hash_started_a_comment(self, name):
+        text = (CONFIG_DIR / name).read_text()
+        cut = "".join(line.split("#", 1)[0] + "\n" for line in text.splitlines())
+        assert parse_config(text) == parse_config(cut)
+        assert config_hash(parse_config(text)) == config_hash(parse_config(cut))
+        schema = (CONFIG_DIR.parent / parse_config(text).schema).read_text()
+        cut = "".join(line.split("#", 1)[0] + "\n" for line in schema.splitlines())
+        assert D.parse_schema(schema) == D.parse_schema(cut)
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
     def test_old_kernel_keys_give_the_same_config(self, name):

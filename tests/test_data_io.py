@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,17 @@ class TestSchema:
 
     def test_round_trip(self):
         assert D.parse_schema(D.serialize_schema(SCHEMA)) == SCHEMA
+
+    @pytest.mark.parametrize(
+        "line", ["features=a#b,c", "target=y # the label", "task=regression#"]
+    )
+    def test_hash_inside_a_line_is_an_error(self, line):
+        # a value used to be cut at its first '#': features=a#b,c read as (a,)
+        text = "  # comment\ntarget=y\nfeatures=a,c\ntask=regression\n"
+        key = line.split("=")[0]
+        text = re.sub(f"^{key}=.*$", line, text, flags=re.M)
+        with pytest.raises(D.DataError, match=re.escape(repr(line))):
+            D.parse_schema(text)
 
     def test_missing_keys(self):
         with pytest.raises(D.DataError):

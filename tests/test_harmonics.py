@@ -67,6 +67,44 @@ class TestFundamentalSets:
             assert H._condition_number(H.fundamental_gram(fs.directions, ell, dim)) < 1e8
 
 
+# (d, ell, m, iterations): two directions; a full block; the eval-bulk
+# shape's ell=5 block; a house-shape ell=15 block, cut to 20 iterations
+REPEL_SHAPES = [(3, 2, 2, None), (4, 3, 16, None), (9, 5, 100, None), (12, 15, 100, 20)]
+
+
+class TestRepulsion:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim, ell, m, iters", REPEL_SHAPES)
+    def test_bit_identical_to_the_full_matrix_evaluation(self, dim, ell, m, iters, seed):
+        V = random_sphere(np.random.default_rng(seed), m, dim)
+        iters = iters or H._repel_budget(m)
+        got = H._repel_directions(V, ell, dim, iters)
+        assert np.array_equal(got, oracles.full_matrix_repel_directions(V, ell, dim, iters))
+        assert not np.array_equal(got, V)  # the directions did move
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim, ell, m, iters", REPEL_SHAPES)
+    def test_cosines_are_exactly_symmetric(self, dim, ell, m, iters, seed):
+        # the upper triangle stands for both: V V^T must be symmetric to the bit
+        V = random_sphere(np.random.default_rng(seed), m, dim)
+        for W in (V, H._repel_directions(V, ell, dim, 3)):
+            t = H.direction_cosines(W)
+            assert np.array_equal(t, t.T)
+
+    def test_peak_memory_stays_at_the_full_matrix_level(self):
+        import tracemalloc
+
+        m = 300
+        V = random_sphere(np.random.default_rng(0), m, 12)
+        tracemalloc.start()
+        try:
+            H._repel_directions(V, 5, 12, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * m * m * 8
+
+
 class TestReorthogonalize:
     def test_idempotent_on_clean_sets(self):
         fs = H.build_fundamental_set(4, 5, 10, seed=0)

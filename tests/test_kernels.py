@@ -134,6 +134,30 @@ class TestFunkHeckeSpectrum:
         with pytest.raises(ValueError):
             K.funk_hecke_spectrum(K.ReluShape(), 3, 10, quad_order=20)
 
+    @pytest.mark.parametrize("kind", ["composed_relu", "ntk"])
+    @pytest.mark.parametrize("dim, depth", [(12, 2), (78, 2), (91, 3)])
+    def test_default_order_matches_the_high_precision_reference(self, kind, dim, depth):
+        # 64 nodes gave lambda_13 5.8x too large at d=78 and k(x,x) = 7.6 at d=91
+        spec = K.parse_spectrum(f"{kind}:depth={depth}", dim, 14)
+        ref = oracles.funk_hecke_reference(kind, depth, dim)
+        assert np.max(np.abs(spec.eigenvalues[:9] - ref) / ref) <= 1e-6
+        assert K.mercer_diag_value(spec) <= 1.0
+
+    @pytest.mark.parametrize("dim", [3, 5, 9, 12, 20, 32])
+    @pytest.mark.parametrize("lmax", [0, 5, 15, 32, 40])
+    def test_default_order_is_unchanged_up_to_d32(self, dim, lmax):
+        shape = K.ComposedShape(K.ReluShape(), 2)
+        default = K.funk_hecke_spectrum(shape, dim, lmax).eigenvalues
+        before = K.funk_hecke_spectrum(shape, dim, lmax, max(64, lmax + 32)).eigenvalues
+        assert np.array_equal(default, before)
+
+    @pytest.mark.parametrize("dim, lmax, least", [(12, 14, 30), (78, 14, 92), (91, 2, 93)])
+    def test_quad_order_floor_grows_with_the_dimension(self, dim, lmax, least):
+        shape = K.NtkShape(2)
+        with pytest.raises(ValueError, match=f"dim \\+ max_frequency\\) = {least}"):
+            K.funk_hecke_spectrum(shape, dim, lmax, quad_order=least - 1)
+        K.funk_hecke_spectrum(shape, dim, lmax, quad_order=least)
+
     def test_depth_slows_decay(self):
         for dim in (3, 10):
             for ell in (5, 10):
