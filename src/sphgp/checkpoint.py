@@ -7,7 +7,9 @@ that knows their layout. A spectrum is ``spectrum_dim`` and
 ``kernels.KINDS`` as ``spectrum_family`` and each of the family's fields as
 ``spectrum_family_<field>``. Theta and the variance are saved once, as
 ``state_log_theta`` and ``state_log_variance``, and the loader builds the
-spectrum at them. ``_current_layout`` holds every rule for older layouts.
+spectrum at them. A checkpoint holds no optimiser state: every array it
+stores is one the loader reads. ``_current_layout`` holds every rule for
+older layouts, which may also carry Adam's moments as ``adam_*`` arrays.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from . import vargp as V
 from .data_io import Scaler
 
 CHECKPOINT_VERSION = 1
-_MOMENTS = ("m", "v")  # Adam's first and second moments, keyed like the blocks Adam trains
-_Q_MOMENTS = {f"adam_{m}_{key}" for m in _MOMENTS for key in ("mean", "cov_params")}  # older files
 
 
 @dataclass
@@ -38,7 +38,6 @@ class Checkpoint:
     config_text: str
     config_hash: str
     schema_text: str
-    moments: dict | None
 
 
 def _state_arrays(state: V.VariationalState) -> dict[str, np.ndarray]:
@@ -60,16 +59,14 @@ def _state_from_arrays(arrays: dict, basis: H.HarmonicBasis) -> V.VariationalSta
                 f"checkpoint {key} has {arrays[key].size} entries but its basis of "
                 f"{m} features needs {size}"
             )
-    absent = {f"state_{key}" for key in V.OPTIONAL_BLOCKS}
     packed = {}
-    for key, value in arrays.items():
-        if not key.startswith("state_"):
-            continue
-        if key in absent and value.ndim == 0 and np.isnan(value):
+    for key in ("mean", "cov_factor", "log_variance", *V.OPTIONAL_BLOCKS):
+        value = arrays.get(f"state_{key}", np.asarray(np.nan))
+        if key in V.OPTIONAL_BLOCKS and value.ndim == 0 and np.isnan(value):
             continue
         if not np.all(np.isfinite(value)):
-            raise ValueError(f"checkpoint {key} holds non-finite values")
-        packed[key[len("state_"):]] = value
+            raise ValueError(f"checkpoint state_{key} holds non-finite values")
+        packed[key] = value
     state = V.unpack_state(packed)
     d = np.arange(m)
     if not np.all(state.L[d, d] > 0):
@@ -103,7 +100,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "config_hash": np.asarray(ckpt.config_hash),
         "schema_text": np.asarray(ckpt.schema_text),
         "likelihood_kind": np.asarray(ckpt.likelihood.kind),
-        "likelihood_link": np.asarray(getattr(ckpt.likelihood, "link", "")),
         "spectrum_dim": np.asarray(ckpt.model.spectrum.dim, dtype=np.int64),
         "spectrum_eigenvalues": ckpt.model.spectrum.eigenvalues,
     }
@@ -115,6 +111,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         arrays["spectrum_family"] = np.asarray(names[0])
         for f in fields(family):
             arrays[f"spectrum_family_{f.name}"] = np.asarray(getattr(family, f.name))
+    if hasattr(ckpt.likelihood, "link"):
+        arrays["likelihood_link"] = np.asarray(ckpt.likelihood.link)
     arrays.update(_state_arrays(ckpt.state))
     arrays.update(H.basis_to_arrays(ckpt.model.basis))
     if ckpt.input_scaler is not None:
@@ -123,11 +121,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     if ckpt.target_scaler is not None:
         arrays["target_scaler_mean"] = np.atleast_1d(ckpt.target_scaler.mean)
         arrays["target_scaler_std"] = np.atleast_1d(ckpt.target_scaler.std)
-    if ckpt.moments is not None:
-        arrays["adam_step"] = np.asarray(ckpt.moments["step"], dtype=np.int64)
-        for moment in _MOMENTS:
-            for key, val in ckpt.moments[moment].items():
-                arrays[f"adam_{moment}_{key}"] = np.asarray(val, dtype=np.float64)
     np.savez(path, **arrays)
 
 
@@ -138,10 +131,11 @@ def _current_layout(data) -> dict:
     without a family, a finite one a ``poly_decay`` spectrum with a bare
     ``spectrum_lambda0``; theta, ``spectrum_source`` and ``spectrum_variance`` are
     otherwise unused: theta and the variance are the state's. ``state_cov_params``
-    is q(u)'s factor with its diagonal as logs; Adam's moments of q(u) are unread.
+    is q(u)'s factor with its diagonal as logs. Adam's moments and step count
+    (every ``adam_*`` array) are unread.
     """
     names = {name[:-4] + "theta" if name.endswith("_beta") else name: name for name in data.files}
-    arrays = {key: data[name] for key, name in names.items() if key not in _Q_MOMENTS}
+    arrays = {key: data[name] for key, name in names.items() if not key.startswith("adam_")}
     theta = arrays.get("spectrum_theta")
     if theta is not None and not np.isnan(theta):
         arrays["spectrum_family"] = np.asarray("poly_decay")
@@ -155,7 +149,8 @@ def _current_layout(data) -> dict:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at ``path``; of Adam's moments only those of the state's blocks are kept."""
+    """The checkpoint at ``path``: the trained model, its state and scalers, in any layout
+    ``_current_layout`` knows; the ``adam_*`` arrays of older files are skipped."""
     with np.load(path, allow_pickle=False) as data:
         arrays = _current_layout(data)
     version = int(arrays["checkpoint_version"])
@@ -164,13 +159,6 @@ def load_checkpoint(path) -> Checkpoint:
     basis = H.basis_from_arrays(arrays)
     state = _state_from_arrays(arrays, basis)
     model = V.InducingModel(basis=basis, spectrum=_spectrum_from_arrays(arrays, state))
-    moments = None
-    if "adam_step" in arrays:
-        moments = {"step": int(arrays["adam_step"])}
-        for moment in _MOMENTS:
-            moments[moment] = {
-                key: arrays[f"adam_{moment}_{key}"] for key in V.adam_blocks(state)
-            }
     kind = str(arrays["likelihood_kind"])
     if kind == "gaussian":
         if state.log_noise is None:
@@ -189,5 +177,5 @@ def load_checkpoint(path) -> Checkpoint:
         model=model, state=state, likelihood=likelihood, task=str(arrays["task"]),
         bias=float(arrays["bias"]), input_scaler=input_scaler, target_scaler=target_scaler,
         config_text=str(arrays["config_text"]), config_hash=str(arrays["config_hash"]),
-        schema_text=str(arrays["schema_text"]), moments=moments,
+        schema_text=str(arrays["schema_text"]),
     )

@@ -129,7 +129,6 @@ def cmd_train(args) -> int:
             config_text=effective,
             config_hash=config_hash(cfg),
             schema_text=D.serialize_schema(schema),
-            moments=result.moments,
         ),
     )
     print(json.dumps({"run_dir": str(run_dir), **{k: metrics[k] for k in sorted(metrics)}}))
@@ -193,14 +192,19 @@ def cmd_eval(args) -> int:
 def cmd_eigvals(args) -> int:
     from . import kernels as K
 
+    specs = [K.canonical_kernel(text) for text in args.kernel]
+    for i, spec in enumerate(specs):
+        if spec in specs[:i]:
+            first = args.kernel[specs.index(spec)]
+            raise ValueError(f"--kernel {first!r} and {args.kernel[i]!r} are both {spec}")
     spectra = [
-        K.parse_spectrum(text, args.dim, args.max_frequency, args.quad_order) for text in args.kernel
+        K.parse_spectrum(spec, args.dim, args.max_frequency, args.quad_order) for spec in specs
     ]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for spec_text, spectrum in zip(args.kernel, spectra):
-        label = spec_text.replace(":", "_").replace("=", "").replace(",", "_")
+    for spec, spectrum in zip(specs, spectra):
+        label = spec.replace(":", "_").replace("=", "").replace(",", "_")
         path = out_dir / f"eigvals_{label}_d{args.dim}.csv"
         K.export_spectrum(spectrum, path)
         written.append(str(path))

@@ -14,7 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .kernels import KINDS, parse_kernel
+from .kernels import KINDS, canonical_kernel, parse_kernel
 
 
 class ConfigError(ValueError):
@@ -46,11 +46,9 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            name, values = parse_kernel(self.kernel)
+            object.__setattr__(self, "kernel", canonical_kernel(self.kernel))
         except ValueError as exc:
             raise ConfigError(f"kernel = {self.kernel}: {exc}") from None
-        spec = ",".join(f"{key}={value!r}" for key, value in values.items())
-        object.__setattr__(self, "kernel", f"{name}:{spec}")
         for name in ("variance0", "noise0", "bias"):
             _require_positive(name, getattr(self, name))
         if self.link not in ("probit", "logit"):

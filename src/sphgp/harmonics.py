@@ -164,10 +164,10 @@ def _repel_directions(V: np.ndarray, ell: int, dim: int, iters: int) -> np.ndarr
 def build_fundamental_set(ell: int, dim: int, num_phases: int, seed: int = 0) -> FundamentalSet:
     """Pick ``num_phases`` well-separated directions for frequency ``ell``.
 
-    Starts from a seeded random draw, runs the repulsion above, and accepts
-    the candidate only if its Gram has condition number below ``COND_LIMIT``
-    and factors without jitter. Retries with fresh seeds up to
-    ``MAX_RESTARTS`` times.
+    Each attempt has one candidate: a seeded random draw, spread by the
+    repulsion above when there is more than one direction. It is accepted
+    only if its Gram has condition number below ``COND_LIMIT`` and factors
+    without jitter. Retries with fresh seeds up to ``MAX_RESTARTS`` times.
     """
     if ell < 1:
         raise ValueError("frequency must be >= 1 (0 is the constant feature)")
@@ -183,14 +183,12 @@ def build_fundamental_set(ell: int, dim: int, num_phases: int, seed: int = 0) ->
         )
         V = rng.standard_normal((num_phases, dim))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
-        candidates = [V]
         if num_phases > 1:
-            candidates.insert(0, _repel_directions(V, ell, dim, _repel_budget(num_phases)))
-        scored = [(_condition_number(fundamental_gram(c, ell, dim)), c) for c in candidates]
-        cond, cand = min(scored, key=lambda s: s[0])
+            V = _repel_directions(V, ell, dim, _repel_budget(num_phases))
+        cond = _condition_number(fundamental_gram(V, ell, dim))
         best_cond = min(best_cond, cond)
         if cond < COND_LIMIT:
-            fset = fundamental_set(ell, cand, dim)
+            fset = fundamental_set(ell, V, dim)
             if fset.jitter == 0.0:
                 return fset
     raise RuntimeError(

@@ -298,6 +298,12 @@ def parse_kernel(text: str) -> tuple[str, dict]:
     return name, values
 
 
+def canonical_kernel(text: str) -> str:
+    """The spec ``text`` in canonical form: every field written out, floats with ``repr``."""
+    name, values = parse_kernel(text)
+    return f"{name}:" + ",".join(f"{key}={value!r}" for key, value in values.items())
+
+
 def config_spectrum(cfg, dim: int) -> Spectrum:
     """The prior spectrum of a run config at input dimension ``dim``."""
     name, values = parse_kernel(cfg.kernel)

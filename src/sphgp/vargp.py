@@ -434,7 +434,8 @@ def _clamp_variances(v: np.ndarray) -> np.ndarray:
     low = float(np.min(v)) if v.size else 0.0
     if low < -VAR_CLAMP:
         raise FloatingPointError(
-            f"predictive variance {low:.3e} below -{VAR_CLAMP:.0e}; covariance is indefinite"
+            f"predictive variance below -{VAR_CLAMP:.0e} at "
+            f"{int(np.count_nonzero(v < -VAR_CLAMP))} of {v.size} rows; lowest {low:.3e}"
         )
     return np.maximum(v, 0.0)
 
@@ -759,10 +760,11 @@ class FitConfig:
 
 @dataclass
 class TrainResult:
+    """What ``fit`` trained. Adam's moments and step count stay local to ``fit``."""
+
     model: InducingModel
     state: VariationalState
     trace: list  # (iteration, elbo, wallclock seconds)
-    moments: dict  # Adam's, keyed like ``adam_blocks``
 
 
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
@@ -873,7 +875,7 @@ def fit(model, X, y, likelihood, config: FitConfig, state: VariationalState | No
         basis=H.warn_jitter(_basis_at(model.basis, phases)),
         spectrum=model.spectrum.at(final.theta, final.variance),
     )
-    return TrainResult(model=model_out, state=final, trace=trace, moments={"m": mom_m, "v": mom_v, "step": step})
+    return TrainResult(model=model_out, state=final, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,35 @@ def full_matrix_repel_directions(V, ell, dim, iters):
     return V
 
 
+def two_candidate_fundamental_set(ell, dim, num_phases, seed=0):
+    """``harmonics.build_fundamental_set`` as it was when each attempt scored two candidates.
+
+    Each attempt scored the seeded random draw and, for more than one
+    direction, its repelled copy by the Gram's condition number, and took
+    the lower (the repelled copy on a tie). This is the reference for bit
+    identity: it runs the package's own repulsion, Gram and factor, and
+    differs only in scoring the random draw too.
+    """
+    from sphgp import harmonics as H
+
+    for attempt in range(H.MAX_RESTARTS):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(seed, dim, ell, num_phases, attempt))
+        )
+        V = rng.standard_normal((num_phases, dim))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        candidates = [V]
+        if num_phases > 1:
+            candidates.insert(0, H._repel_directions(V, ell, dim, H._repel_budget(num_phases)))
+        scored = [(H._condition_number(H.fundamental_gram(c, ell, dim)), c) for c in candidates]
+        cond, cand = min(scored, key=lambda s: s[0])
+        if cond < H.COND_LIMIT:
+            fset = H.fundamental_set(ell, cand, dim)
+            if fset.jitter == 0.0:
+                return fset
+    raise RuntimeError(f"no fundamental set for ell={ell}, d={dim}, m={num_phases}")
+
+
 _FUNK_HECKE_REFERENCE = {  # (kind, depth, d): lambda_0..lambda_8
     ("composed_relu", 2, 12): (
         5.055462679955624298e-1,

@@ -11,26 +11,27 @@ from sphgp import vargp as V
 from conftest import ExpDecay, exp_decay_spectrum, random_sphere
 
 
-def make_checkpoint(tmp_path, with_moments=True, spec=None):
+def make_checkpoint(tmp_path, spec=None, lik=None):
     rng = np.random.default_rng(0)
     spec = spec or K.poly_decay_spectrum(1.4, 4, 3, variance=0.9)
     model = V.build_inducing_model(spec, phase_limit=3, seed=0)
-    lik = V.GaussianLikelihood(0.05)
+    lik = lik or V.GaussianLikelihood(0.05)
+    regression = lik.kind == "gaussian"
     X = random_sphere(rng, 30, 4)
-    y = rng.standard_normal(30)
+    y = rng.standard_normal(30) if regression else (rng.standard_normal(30) > 0).astype(float)
     res = V.fit(model, X, y, lik, V.FitConfig(iterations=10, batch_size=15, seed=0))
+    task = "regression" if regression else "binary"
     ckpt = CP.Checkpoint(
         model=res.model,
         state=res.state,
         likelihood=lik,
-        task="regression",
+        task=task,
         bias=1.0,
         input_scaler=D.Scaler(mean=np.zeros(3), std=np.ones(3)),
-        target_scaler=D.Scaler(mean=np.asarray(0.3), std=np.asarray(2.0)),
+        target_scaler=D.Scaler(mean=np.asarray(0.3), std=np.asarray(2.0)) if regression else None,
         config_text="kernel = poly_decay\n",
         config_hash="abc123",
-        schema_text="target=y\nfeatures=a,b,c\ntask=regression\n",
-        moments=res.moments if with_moments else None,
+        schema_text=f"target=y\nfeatures=a,b,c\ntask={task}\n",
     )
     path = tmp_path / "model.npz"
     CP.save_checkpoint(path, ckpt)
@@ -62,48 +63,85 @@ def test_round_trip_state_fields(tmp_path):
         assert np.array_equal(loaded.state.phases[ell], ckpt.state.phases[ell])
 
 
-def test_moments_round_trip(tmp_path):
-    path, ckpt, _ = make_checkpoint(tmp_path)
-    loaded = CP.load_checkpoint(path)
-    assert loaded.moments is not None
-    assert loaded.moments["step"] == ckpt.moments["step"]
-    keys = set(V.pack_state(ckpt.state)) - {"mean", "cov_factor"}  # the blocks Adam trains
-    for moment in ("m", "v"):
-        assert set(ckpt.moments[moment]) == keys
-        assert set(loaded.moments[moment]) == keys
-        for key, val in ckpt.moments[moment].items():
-            assert np.array_equal(loaded.moments[moment][key], val)
-
-
-def test_q_u_has_no_adam_moments(tmp_path):
+def test_a_checkpoint_holds_no_adam_arrays(tmp_path):
     path, _, _ = make_checkpoint(tmp_path)
     with np.load(path) as data:
-        names = set(data.files)
-    assert {"adam_m_log_variance", "adam_v_log_variance"} <= names
-    assert not {
-        f"adam_{moment}_{key}" for moment in ("m", "v") for key in ("mean", "cov_factor")
-    } & names
+        assert not [name for name in data.files if name.startswith("adam_")]
+
+
+def with_adam_moments(arrays, state, log_theta="log_theta"):
+    """``arrays`` as older checkpoints stored them, with Adam's step count and moments
+    for every block: q(u)'s (``mean``, ``cov_params``) and the others, the spectral
+    parameter's under the name ``log_theta``."""
+    old = dict(arrays)
+    old["adam_step"] = np.asarray(10, dtype=np.int64)
+    blocks = {"mean": state.mean, "cov_params": V.pack_state(state)["cov_factor"]}
+    blocks.update(V.adam_blocks(state))
+    if "log_theta" in blocks:
+        blocks[log_theta] = blocks.pop("log_theta")
+    for moment, fill in (("m", 0.5), ("v", 0.25)):
+        for key, val in blocks.items():
+            old[f"adam_{moment}_{key}"] = np.full_like(np.asarray(val, dtype=np.float64), fill)
+    return old
 
 
 def test_checkpoint_with_q_u_moments_still_loads(tmp_path):
-    # checkpoints written while q(u) trained by Adam carry its two moments
+    # checkpoints written before this layout carry Adam's moments of every block,
+    # q(u)'s too while Adam trained it; none of them is read
     path, ckpt, X = make_checkpoint(tmp_path)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
-    m, size = ckpt.state.mean.size, V.pack_state(ckpt.state)["cov_factor"].size
-    for moment in ("m", "v"):
-        arrays[f"adam_{moment}_mean"] = np.full(m, 0.5)
-        arrays[f"adam_{moment}_cov_params"] = np.full(size, 0.25)
+    old = with_adam_moments(arrays, ckpt.state)
+    assert {"adam_m_cov_params", "adam_v_log_theta", "adam_m_phases_3"} <= set(old)
     old_path = tmp_path / "old.npz"
-    np.savez(old_path, **arrays)
-    new, old = CP.load_checkpoint(path), CP.load_checkpoint(old_path)
-    assert np.array_equal(old.state.L, new.state.L)
-    for moment in ("m", "v"):  # q(u)'s moments are not read
-        assert not {"mean", "cov_params", "cov_factor"} & set(old.moments[moment])
+    np.savez(old_path, **old)
+    new, loaded = CP.load_checkpoint(path), CP.load_checkpoint(old_path)
+    assert np.array_equal(loaded.state.L, new.state.L)
+    assert loaded.state.log_theta == new.state.log_theta
     mu_new, v_new = V.predict(new.model, new.state, X)
-    mu_old, v_old = V.predict(old.model, old.state, X)
+    mu_old, v_old = V.predict(loaded.model, loaded.state, X)
     assert np.array_equal(mu_old, mu_new)
     assert np.array_equal(v_old, v_new)
+
+
+class RecordingDict(dict):
+    """A dict that records the keys read from it."""
+
+    def __init__(self, arrays):
+        super().__init__(arrays)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("kind", ["gaussian_poly_decay", "bernoulli_funk_hecke"])
+def test_every_array_a_checkpoint_holds_is_read(tmp_path, monkeypatch, kind):
+    # a key that no load reads is dead weight in every checkpoint
+    if kind == "gaussian_poly_decay":
+        path, _, _ = make_checkpoint(tmp_path)
+    else:
+        lik = V.BernoulliLikelihood("logit")
+        path, _, _ = make_checkpoint(tmp_path, spec=relu_spectrum(), lik=lik)
+    layouts = []
+    current_layout = CP._current_layout
+
+    def recording_layout(data):
+        layouts.append(RecordingDict(current_layout(data)))
+        return layouts[-1]
+
+    monkeypatch.setattr(CP, "_current_layout", recording_layout)
+    loaded = CP.load_checkpoint(path)
+    assert loaded.likelihood.kind == kind.partition("_")[0]
+    with np.load(path) as data:
+        written = set(data.files)
+    assert len(layouts) == 1 and set(layouts[0]) == written
+    assert written - layouts[0].read == set()
 
 
 def theta_layout(arrays, spec):
@@ -126,10 +164,6 @@ def assert_loads_like(loaded, new, ckpt, X):
     assert loaded.model.spectrum.theta == ckpt.model.spectrum.theta
     assert loaded.model.spectrum.variance == ckpt.model.spectrum.variance
     assert loaded.state.log_theta == ckpt.state.log_theta
-    for moment in ("m", "v"):
-        assert set(loaded.moments[moment]) == set(ckpt.moments[moment])
-        for key, val in ckpt.moments[moment].items():
-            assert np.array_equal(loaded.moments[moment][key], val)
     mu_new, v_new = V.predict(new.model, new.state, X)
     mu_old, v_old = V.predict(loaded.model, loaded.state, X)
     assert np.array_equal(mu_old, mu_new)
@@ -165,13 +199,8 @@ def test_checkpoint_with_beta_key_names_still_loads(tmp_path, kind):
     path, ckpt, X = make_checkpoint(tmp_path, spec=spec)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
-    old_names = {
-        "spectrum_theta": "spectrum_beta",
-        "state_log_theta": "state_log_beta",
-        "adam_m_log_theta": "adam_m_log_beta",
-        "adam_v_log_theta": "adam_v_log_beta",
-    }
-    theta_era = theta_layout(arrays, ckpt.model.spectrum)
+    old_names = {"spectrum_theta": "spectrum_beta", "state_log_theta": "state_log_beta"}
+    theta_era = with_adam_moments(theta_layout(arrays, ckpt.model.spectrum), ckpt.state, "log_beta")
     old = {old_names.get(k, k): v for k, v in theta_era.items()}
     old.setdefault("spectrum_lambda0", np.asarray(1.0))
     assert len(old) == len(theta_era) + (kind == "funk_hecke")
@@ -219,7 +248,7 @@ def test_a_family_added_to_the_kind_table_round_trips(tmp_path, monkeypatch):
     ],
 )
 def test_a_spectrum_family_the_state_does_not_match_is_a_load_error(tmp_path, change, message):
-    path, _, _ = make_checkpoint(tmp_path, with_moments=False)
+    path, _, _ = make_checkpoint(tmp_path)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     arrays.update(change)
@@ -271,7 +300,7 @@ def test_model_at_the_top_of_the_family_range_saves_and_loads(tmp_path):
     ckpt = CP.Checkpoint(
         model=res.model, state=res.state, likelihood=lik, task="regression", bias=1.0,
         input_scaler=None, target_scaler=None, config_text="", config_hash="",
-        schema_text="", moments=None,
+        schema_text="",
     )
     CP.save_checkpoint(tmp_path / "top.npz", ckpt)
     loaded = CP.load_checkpoint(tmp_path / "top.npz")
@@ -290,7 +319,7 @@ def test_scalers_round_trip(tmp_path):
 
 
 def test_version_check(tmp_path):
-    path, _, _ = make_checkpoint(tmp_path, with_moments=False)
+    path, _, _ = make_checkpoint(tmp_path)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     arrays["checkpoint_version"] = np.asarray(42)
@@ -300,7 +329,7 @@ def test_version_check(tmp_path):
 
 
 def test_gaussian_checkpoint_without_noise_is_rejected(tmp_path):
-    path, _, _ = make_checkpoint(tmp_path, with_moments=False)
+    path, _, _ = make_checkpoint(tmp_path)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     arrays["state_log_noise"] = np.asarray(np.nan)

@@ -95,7 +95,7 @@ class TestConfig:
     )
     def test_kernel_spec_is_canonical(self, spec, canonical):
         cfg = parse_config(f"kernel = {spec}\n")
-        assert cfg.kernel == canonical
+        assert cfg.kernel == canonical == K.canonical_kernel(spec)
         assert cfg == RunConfig(kernel=canonical)
         assert f"kernel = {canonical}\n" in serialize_config(cfg)
 
@@ -801,6 +801,30 @@ class TestEigvals:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert rc == 1
         assert record["error"] == "ValueError" and "needs its" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_files_are_named_by_the_canonical_spec(self, tmp_path, capsys):
+        rc = cli.main([
+            "eigvals", "--kernel", "poly_decay: beta=1.5, lambda0=1.0", "--kernel", "ntk:depth=2",
+            "--dim", "3", "--max-frequency", "5", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        names = ["eigvals_poly_decay_beta1.5_lambda01.0_d3.csv", "eigvals_ntk_depth2_d3.csv"]
+        written = json.loads(capsys.readouterr().out)["written"]
+        assert [Path(path).name for path in written] == names
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+
+    @pytest.mark.parametrize(
+        "specs", [["poly_decay:beta=1.5", "poly_decay:beta=1.5, lambda0=1.0"], ["ntk:depth=2"] * 2]
+    )
+    def test_one_spectrum_given_twice_is_rejected(self, specs, tmp_path, capsys):
+        argv = ["eigvals", "--dim", "5", "--max-frequency", "6", "--out", str(tmp_path / "out")]
+        for spec in specs:
+            argv += ["--kernel", spec]
+        assert cli.main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError"
+        assert record["message"].endswith(f"are both {K.canonical_kernel(specs[0])}")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_kernel(self, tmp_path, capsys):

@@ -67,6 +67,25 @@ class TestFundamentalSets:
             assert H._condition_number(H.fundamental_gram(fs.directions, ell, dim)) < 1e8
 
 
+# (d, ell, m): every block of the smoke config (d=4, lmax 5, phase_limit 8);
+# eval-bulk's ell=5 block; the house shape's full ell=2 block
+BUILD_SHAPES = [(4, ell, min(8, num_harmonics(ell, 4))) for ell in range(1, 6)] + [
+    (9, 5, 100), (12, 2, 77),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim, ell, m", BUILD_SHAPES)
+def test_one_candidate_builds_the_two_candidate_set(dim, ell, m, seed):
+    # the random draw was scored too but never picked on these blocks, so
+    # dropping it leaves every block the same to the bit
+    got = H.build_fundamental_set(ell, dim, m, seed=seed)
+    want = oracles.two_candidate_fundamental_set(ell, dim, m, seed=seed)
+    assert np.array_equal(got.directions, want.directions)
+    assert np.array_equal(got.gram_chol, want.gram_chol)
+    assert got.jitter == want.jitter == 0.0
+
+
 # (d, ell, m, iterations): two directions; a full block; the eval-bulk
 # shape's ell=5 block; a house-shape ell=15 block, cut to 20 iterations
 REPEL_SHAPES = [(3, 2, 2, None), (4, 3, 16, None), (9, 5, 100, None), (12, 15, 100, 20)]
