@@ -155,28 +155,29 @@ def cmd_eval(args) -> int:
             f"{','.join(trained.features)} its input scaler was fitted to"
         )
     dataset = D.load_csv(_resolve_data_path(args.data), schema)
-    X_std = ckpt.input_scaler.transform(dataset.inputs)
-    sphere = D.project_to_sphere(X_std, ckpt.bias)
+    targets = dataset.targets
+    coords = D.project_to_sphere(ckpt.input_scaler.transform(dataset.inputs), ckpt.bias).coords
+    del dataset  # predict runs without the raw inputs
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mu, var = V.predict(ckpt.model, ckpt.state, sphere.coords)
+    mu, var = V.predict(ckpt.model, ckpt.state, coords)
     if ckpt.task == "regression":
         scaler_pair = (float(ckpt.target_scaler.mean), float(ckpt.target_scaler.std))
         metrics = V.heldout_metrics(
-            dataset.targets, mu, var, ckpt.likelihood,
+            targets, mu, var, ckpt.likelihood,
             noise_variance=ckpt.state.noise_variance, target_scaler=scaler_pair,
         )
         mu = mu * scaler_pair[1] + scaler_pair[0]
         var = var * scaler_pair[1] ** 2
         columns = ("index", "target", "pred_mean", "pred_var")
         row_format = "%d,%.10g,%.10g,%.10g\n"
-        rows = zip(range(len(sphere)), dataset.targets.tolist(), mu.tolist(), var.tolist())
+        rows = zip(range(targets.size), targets.tolist(), mu.tolist(), var.tolist())
     else:
-        metrics = V.heldout_metrics(dataset.targets, mu, var, ckpt.likelihood)
+        metrics = V.heldout_metrics(targets, mu, var, ckpt.likelihood)
         prob = V.class_probability(mu, var, ckpt.likelihood)
         columns = ("index", "target", "prob")
         row_format = "%d,%.10g,%.10g\n"
-        rows = zip(range(len(sphere)), dataset.targets.tolist(), prob.tolist())
+        rows = zip(range(targets.size), targets.tolist(), prob.tolist())
     _write_json(out_dir / "metrics.json", metrics)
     with open(out_dir / "predictions.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")

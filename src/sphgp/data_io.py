@@ -1,5 +1,9 @@
 """Dataset ingestion, standardization, sphere projection, splits, minibatches.
 
+``load_csv`` parses a clean file, every row numeric and as wide as its
+header, in one ``np.loadtxt`` call, and re-reads any other file with the
+chunked ``csv.reader`` parse; both keep and drop the same rows.
+
 Raw rows are standardized per column (statistics fit on the training split
 only), extended with a constant bias coordinate, and divided by their norm,
 which lands every input on the unit sphere in one extra dimension.
@@ -11,6 +15,7 @@ import csv
 import itertools
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +66,7 @@ def parse_schema(text: str) -> Schema:
 
 
 def load_schema(path) -> Schema:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_schema(fh.read())
 
 
@@ -100,6 +105,17 @@ def _parse_value(text: str) -> float:
     return value
 
 
+def _usable(values: np.ndarray, binary: bool) -> np.ndarray:
+    """Mask of the rows whose values are finite and, if binary, labelled 0 or 1.
+
+    ``values`` holds the schema's columns, the target last.
+    """
+    ok = np.isfinite(values).all(axis=1)
+    if binary:
+        ok &= (values[:, -1] == 0.0) | (values[:, -1] == 1.0)
+    return ok
+
+
 # Rows converted per numpy call: bounds the strings held at once. Larger
 # chunks parse no faster and leave more freed string memory resident.
 _CHUNK_ROWS = 512
@@ -108,10 +124,12 @@ _CHUNK_ROWS = 512
 def _parse_rows(cells, ncols: int, binary: bool) -> tuple[np.ndarray, int]:
     """Values of the rows that parse, and how many rows were rejected.
 
-    ``cells`` holds one tuple of strings per row: the feature columns, then
-    the target. One numpy call converts the whole chunk; numpy parses a
-    string exactly as ``float`` does. If any cell fails to parse, the chunk
-    goes row by row instead, so only the offending rows are rejected.
+    The fallback parse of ``load_csv``, for files its one-call C parse does
+    not take. ``cells`` holds one tuple of strings per row: the feature
+    columns, then the target. One numpy call converts the whole chunk;
+    numpy parses a string exactly as ``float`` does. If any cell fails to
+    parse, the chunk goes row by row instead, so only the offending rows are
+    rejected.
     """
     try:
         values = np.array(cells, dtype=np.float64).reshape(-1, ncols)
@@ -123,46 +141,101 @@ def _parse_rows(cells, ncols: int, binary: bool) -> tuple[np.ndarray, int]:
             except ValueError:
                 continue
         values = np.array(kept, dtype=np.float64).reshape(-1, ncols)
-    ok = np.isfinite(values).all(axis=1)
-    if binary:
-        ok &= (values[:, -1] == 0.0) | (values[:, -1] == 1.0)
+    ok = _usable(values, binary)
     return values[ok], len(cells) - int(ok.sum())
 
 
+def _parse_table(fh, width: int, columns: list[int], binary: bool):
+    """The rest of ``fh`` in one C parse: (inputs, targets, rows, dropped).
+
+    Returns None, having consumed ``fh``, when the parse raises, finds no
+    row, or finds rows of another width than the header's. Every file on
+    which ``np.loadtxt`` could read other values than ``csv.reader`` and
+    ``float`` makes it raise: a short, long or whitespace-only row, an empty
+    or non-numeric cell. Blank lines are skipped by both. ``usecols`` is not
+    passed: with it, rows longer than the header would parse.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if table.shape[0] == 0 or table.shape[1] != width:
+        return None
+    rows = np.flatnonzero(_usable(table[:, columns], binary))
+    inputs = table[rows[:, None], columns[:-1]]
+    targets = table[rows, columns[-1]]
+    return inputs, targets, table.shape[0], table.shape[0] - rows.size
+
+
+def _parse_chunks(reader, width: int, columns: list[int], binary: bool):
+    """The rest of ``reader``, ``_CHUNK_ROWS`` records per numpy call.
+
+    Returns (inputs, targets, rows, dropped). Records of another width than
+    the header's are dropped; the schema's columns of the others go through
+    ``_parse_rows``.
+    """
+    blocks = [np.empty((0, len(columns)))]
+    dropped = 0
+    total = 0
+    pick = operator.itemgetter(*columns)
+    while records := list(itertools.islice(reader, _CHUNK_ROWS)):
+        records = [r for r in records if r]
+        total += len(records)
+        cells = [pick(r) for r in records if len(r) == width]
+        values, rejected = _parse_rows(cells, len(columns), binary)
+        dropped += len(records) - len(cells) + rejected
+        blocks.append(values)
+    inputs = np.concatenate([b[:, :-1] for b in blocks])
+    targets = np.concatenate([b[:, -1] for b in blocks])
+    return inputs, targets, total, dropped
+
+
+def _schema_columns(path, header: list[str], schema: Schema) -> list[int]:
+    """Header positions of the schema's features, then of its target."""
+    columns = []
+    for name in (*schema.features, schema.target):
+        count = header.count(name)
+        if count == 0:
+            raise DataError(f"{path}: missing column: {name!r} is not in list")
+        if count > 1:
+            raise DataError(f"{path}: column {name!r} appears {count} times in the header")
+        columns.append(header.index(name))
+    return columns
+
+
 def load_csv(path, schema: Schema, max_bad_fraction: float = 0.1) -> Dataset:
-    """Typed CSV parse (RFC-4180 quoting, UTF-8, header row required).
+    """Typed CSV parse (RFC-4180 quoting, UTF-8 with an optional BOM, header row required).
 
     Rows with missing or non-finite values are dropped and counted; the load
     aborts if more than ``max_bad_fraction`` of the data rows are rejected.
-    ``csv.reader`` splits the file; every ``_CHUNK_ROWS`` records, the
-    schema's columns of the rows of the right width are converted in one
-    numpy call, and the finite and binary-target checks run as masks. A
-    chunk with a cell that does not parse falls back to a per-row parse.
+    Each column the schema names must appear exactly once in the header.
+    ``csv.reader`` reads the header. A clean file, every row numeric and as
+    wide as the header, is then parsed in one ``np.loadtxt`` call
+    (``_parse_table``); the finite and binary-target checks run as masks on
+    the schema's columns. Any other file is re-read from its start by the
+    chunked ``csv.reader`` parse (``_parse_chunks``), which drops and counts
+    exactly the same rows of a file both can read.
     """
-    blocks = []
-    dropped = 0
-    total = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    binary = schema.task == "binary"
+    # Universal newlines: TextIOWrapper splits lines faster for np.loadtxt
+    # than with newline="", and a cell that holds a line break is not a number.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file (header row required)") from None
         header = [h.strip() for h in header]
-        try:
-            columns = [header.index(c) for c in schema.features]
-            columns.append(header.index(schema.target))
-        except ValueError as exc:
-            raise DataError(f"{path}: missing column: {exc}") from None
-        width = len(header)
-        pick = operator.itemgetter(*columns)
-        while records := list(itertools.islice(reader, _CHUNK_ROWS)):
-            records = [r for r in records if r]
-            total += len(records)
-            cells = [pick(r) for r in records if len(r) == width]
-            values, rejected = _parse_rows(cells, len(columns), schema.task == "binary")
-            dropped += len(records) - len(cells) + rejected
-            blocks.append(values)
+        columns = _schema_columns(path, header, schema)
+        parsed = _parse_table(fh, len(header), columns, binary)
+    if parsed is None:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            parsed = _parse_chunks(reader, len(header), columns, binary)
+    inputs, targets, total, dropped = parsed
     if total == 0:
         raise DataError(f"{path}: no data rows")
     if dropped > max_bad_fraction * total:
@@ -170,12 +243,7 @@ def load_csv(path, schema: Schema, max_bad_fraction: float = 0.1) -> Dataset:
             f"{path}: {dropped}/{total} rows rejected, above the "
             f"{max_bad_fraction:.0%} limit"
         )
-    return Dataset(
-        inputs=np.concatenate([b[:, :-1] for b in blocks]),
-        targets=np.concatenate([b[:, -1] for b in blocks]),
-        task=schema.task,
-        dropped_rows=dropped,
-    )
+    return Dataset(inputs=inputs, targets=targets, task=schema.task, dropped_rows=dropped)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,31 @@ class TestEval:
         assert rc == 0
         n_rows = len((tmp_path / "out" / "predictions.csv").read_text().splitlines()) - 1
         assert rows_per_call == [n_rows]
+
+    @pytest.mark.parametrize("run", ["regression_run", "classification_run"])
+    def test_eval_keeps_no_raw_inputs_during_predict(self, run, request, tmp_path, monkeypatch):
+        _, cfg, run_dir = request.getfixturevalue(run)
+        loaded = []
+        load_csv, predict = D.load_csv, V.predict
+
+        def recording_load(*args, **kwargs):
+            dataset = load_csv(*args, **kwargs)
+            loaded.append((weakref.ref(dataset), weakref.ref(dataset.inputs)))
+            return dataset
+
+        def checking_predict(*args, **kwargs):
+            assert [(d(), x()) for d, x in loaded] == [(None, None)]
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(D, "load_csv", recording_load)
+        monkeypatch.setattr(V, "predict", checking_predict)
+        rc = cli.main([
+            "eval",
+            "--checkpoint", str(run_dir / "checkpoint.npz"),
+            "--data", cfg.data_csv,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0 and len(loaded) == 1
 
     @pytest.mark.parametrize("run", ["regression_run", "classification_run", "composed_relu_run"])
     def test_eval_of_the_held_out_rows_reproduces_train_metrics(self, run, request, tmp_path):
@@ -883,6 +909,15 @@ class TestShippedConfig:
     def test_loads_and_round_trips(self, name):
         cfg = load_config(CONFIG_DIR / name)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+    def test_byte_order_mark_gives_the_same_config(self, name, tmp_path):
+        # a BOM before a first comment line used to read as a '#' inside a line
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (CONFIG_DIR / name).read_bytes())
+        cfg = load_config(CONFIG_DIR / name)
+        assert load_config(path) == cfg
+        assert config_hash(load_config(path)) == config_hash(cfg)
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
     def test_builds_its_model_from_the_schema_alone(self, name):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ class TestSchema:
     def test_missing_keys(self):
         with pytest.raises(D.DataError):
             D.parse_schema("target=y\n")
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        # it used to fail with "unknown schema key '\ufefftarget'"
+        path = tmp_path / "bom.schema"
+        path.write_bytes(b"\xef\xbb\xbf" + D.serialize_schema(SCHEMA).encode("utf-8"))
+        assert D.load_schema(path) == SCHEMA
 
     def test_bad_task(self):
         with pytest.raises(D.DataError):
@@ -110,6 +117,45 @@ class TestLoadCsv:
         ds = D.load_csv(path, SCHEMA)
         assert ds.num_rows == 1
 
+    @pytest.mark.parametrize(
+        "rows", ["1,2,3\n4,5,6\n", "1,2,3\nx,5,6\n4,5,6\n"], ids=["clean", "dirty"]
+    )
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path, rows):
+        # it used to fail with "missing column: 'a' is not in list"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"a,b,y\n{rows}".encode("utf-8"))
+        ds = D.load_csv(path, SCHEMA, max_bad_fraction=0.5)
+        assert np.array_equal(ds.inputs, [[1, 2], [4, 5]])
+        assert np.array_equal(ds.targets, [3, 6])
+
+    @pytest.mark.parametrize("rows", ["1,2,9,3\n", "1,2,9,3\nx,2,9,3\n"], ids=["clean", "dirty"])
+    def test_repeated_schema_column_in_header_is_an_error(self, tmp_path, rows):
+        # the first 'a' used to be read: row 1,2,9,3 loaded as inputs [1, 2]
+        path = write(tmp_path, "a,b,a,y\n" + rows)
+        with pytest.raises(D.DataError, match="column 'a' appears 2 times in the header"):
+            D.load_csv(path, SCHEMA, max_bad_fraction=1.0)
+
+    def test_repeated_column_the_schema_does_not_use_is_read(self, tmp_path):
+        path = write(tmp_path, "z,a,z,b,y\n7,1,8,2,3\n")
+        ds = D.load_csv(path, SCHEMA)
+        assert np.array_equal(ds.inputs, [[1, 2]]) and np.array_equal(ds.targets, [3])
+
+    @pytest.mark.parametrize(
+        "text", ["a,b,y\n", "a,b,y\n\n\r\n"], ids=["header-only", "blank-lines"]
+    )
+    def test_header_only_file_has_no_data_rows_and_warns_nothing(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(D.DataError, match="no data rows"):
+                D.load_csv(path, SCHEMA)
+
+    def test_rows_all_wider_than_the_header_are_all_dropped(self, tmp_path):
+        # np.loadtxt reads such a table without error; it must not load as 3 columns
+        path = write(tmp_path, "a,b,y\n1,2,3,4\n5,6,7,8\n")
+        with pytest.raises(D.DataError, match="2/2 rows rejected"):
+            D.load_csv(path, SCHEMA)
+
 
 def per_row_load(path, schema):
     """Reference parse: every cell through ``float``, one row at a time."""
@@ -142,6 +188,10 @@ def per_row_load(path, schema):
 
 CHUNK = D._CHUNK_ROWS
 BINARY = D.parse_schema("target=y\nfeatures=a,b\ntask=binary\n")
+BAD_LINES = {
+    "text": "abc,1,0", "empty": "1,,0", "inf": "1,2,inf", "overflow": "1e400,2,1",
+    "short-row": "1,2", "long-row": "1,2,3,4", "label-2": "1,2,2",
+}
 
 
 class TestChunkedLoad:
@@ -165,16 +215,8 @@ class TestChunkedLoad:
     )
     @pytest.mark.parametrize(
         "bad_line, schema",
-        [
-            ("abc,1,0", SCHEMA),
-            ("1,,0", SCHEMA),
-            ("1,2,inf", SCHEMA),
-            ("1e400,2,1", SCHEMA),
-            ("1,2", SCHEMA),
-            ("1,2,3,4", SCHEMA),
-            ("1,2,2", BINARY),
-        ],
-        ids=["text", "empty", "inf", "overflow", "short-row", "long-row", "label-2"],
+        [(line, BINARY if kind == "label-2" else SCHEMA) for kind, line in BAD_LINES.items()],
+        ids=list(BAD_LINES),
     )
     def test_bad_row_at_chunk_edge(self, tmp_path, bad_row, bad_line, schema):
         path = write(tmp_path, self.table(bad_row, bad_line))
@@ -198,6 +240,132 @@ class TestChunkedLoad:
         assert ds.dropped_rows == 0
         assert np.array_equal(ds.inputs, [[1, 2], [4, 5.5]])
         assert np.array_equal(ds.targets, [3, 6])
+
+
+class TestParsePath:
+    """Clean files take the one-call C parse; files it could misread, the chunks."""
+
+    @pytest.fixture
+    def chunk_calls(self, monkeypatch):
+        calls = []
+        parse_rows = D._parse_rows
+
+        def counting(cells, ncols, binary):
+            calls.append(len(cells))
+            return parse_rows(cells, ncols, binary)
+
+        monkeypatch.setattr(D, "_parse_rows", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "rows, schema",
+        [
+            ("1,2,3\n4,5,6\n", SCHEMA),
+            ("1,2,3\r\n4,5,6\r\n", SCHEMA),
+            ("1,2,3\r4,5,6\r", SCHEMA),
+            ("1,2,3\n\n4,5,6\n\n", SCHEMA),
+            ('"1","2","3"\n4," 5 ",6\n', SCHEMA),
+            (" 1 ,2\t, 3\n4,5,6", SCHEMA),
+            ("nan,2,3\n4,inf,6\n7,8,-Infinity\n1e400,1,1\n1,2,1\n", SCHEMA),
+            ("1,2,2\n1,2,0.5\n1,2,1\n3,4,0\n", BINARY),
+        ],
+        ids=["lf", "crlf", "cr", "blank-lines", "quoted", "padded", "non-finite", "labels"],
+    )
+    def test_clean_file_never_enters_the_chunks(self, tmp_path, chunk_calls, rows, schema):
+        path = write(tmp_path, "a,b,y\n" + rows)
+        ds = D.load_csv(path, schema, max_bad_fraction=1.0)
+        inputs, targets, dropped = per_row_load(path, schema)
+        assert chunk_calls == []
+        assert ds.dropped_rows == dropped
+        assert np.array_equal(ds.inputs, inputs) and np.array_equal(ds.targets, targets)
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            BAD_LINES["text"], BAD_LINES["empty"], BAD_LINES["short-row"], BAD_LINES["long-row"],
+            "   ", "1,2,3,", "1_0,2,3", "0x10,2,3", "2#x,2,3", "１,2,3", '1,"2,3"',
+        ],
+        ids=[
+            "text", "empty", "short-row", "long-row", "whitespace-line", "trailing-comma",
+            "underscore", "hex", "hash", "fullwidth-digit", "quoted-comma",
+        ],
+    )
+    def test_dirty_file_is_re_read_in_chunks(self, tmp_path, chunk_calls, bad_line):
+        path = write(tmp_path, f"a,b,y\n1,2,3\n{bad_line}\n4,5,6\n")
+        ds = D.load_csv(path, SCHEMA, max_bad_fraction=1.0)
+        inputs, targets, dropped = per_row_load(path, SCHEMA)
+        assert chunk_calls != []
+        assert ds.dropped_rows == dropped
+        assert np.array_equal(ds.inputs, inputs) and np.array_equal(ds.targets, targets)
+
+    def test_text_column_the_schema_does_not_use_goes_to_the_chunks(self, tmp_path, chunk_calls):
+        path = write(tmp_path, "name,a,b,y\nfirst,1,2,3\n")
+        ds = D.load_csv(path, SCHEMA)
+        assert chunk_calls == [1]
+        assert np.array_equal(ds.inputs, [[1, 2]]) and np.array_equal(ds.targets, [3])
+
+
+_VALUES = st.one_of(
+    st.floats(),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and signed zeros
+    st.sampled_from([-0.0, 0.1 + 0.2, 1 / 3, 1.7976931348623157e308, 5e-324, 1e22, 1e-300]),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A file, its schema, and its lines: shuffled columns, quoting, line ends, bad rows."""
+    binary = draw(st.booleans())
+    schema = BINARY if binary else SCHEMA
+    extras = [f"e{i}" for i in range(draw(st.integers(0, 2)))]
+    header = draw(st.permutations(["a", "b", "y", *extras]))
+    style = draw(st.sampled_from(["repr", "%.10g"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        cells = {}
+        for name in header:
+            if name == "y" and binary and draw(st.integers(0, 4)):
+                value = float(draw(st.integers(0, 1)))
+            else:
+                value = draw(_VALUES)
+            cells[name] = repr(value) if style == "repr" else f"{value:.10g}"
+            if draw(st.integers(0, 3)) == 0:
+                cells[name] = f'"{cells[name]}"'
+        row = [cells[name] for name in header]
+        bad = draw(st.sampled_from([None] * 20 + sorted(BAD_LINES)))
+        if bad in ("text", "empty", "inf", "overflow"):
+            row[header.index(draw(st.sampled_from(["a", "b", "y"])))] = {
+                "text": "abc", "empty": "", "inf": "inf", "overflow": "1e400",
+            }[bad]
+        elif bad == "short-row":
+            row.pop()
+        elif bad == "long-row":
+            row.append("4")
+        elif bad == "label-2":
+            row[header.index("y")] = "2"
+        lines.append(",".join(row))
+    return newline.join(lines) + newline, schema
+
+
+@given(table=csv_tables())
+@settings(max_examples=150, deadline=None)
+def test_load_equals_the_per_row_reference(tmp_path_factory, table):
+    text, schema = table
+    path = tmp_path_factory.mktemp("prop") / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    inputs, targets, dropped = per_row_load(path, schema)
+    if targets.size == 0:
+        with pytest.raises(D.DataError):
+            D.load_csv(path, schema, max_bad_fraction=1.0)
+        return
+    ds = D.load_csv(path, schema, max_bad_fraction=1.0)
+    assert ds.dropped_rows == dropped
+    assert ds.inputs.tobytes() == inputs.tobytes()
+    assert ds.targets.tobytes() == targets.tobytes()
 
 
 def make_dataset(n=40, seed=0):
